@@ -3,9 +3,9 @@
 ``python -m repro.bench.figures <fig>`` reprints any figure's data with
 paper-claim verdicts; the ``benchmarks/`` directory wires the same
 functions into pytest-benchmark.  Sweeps fan out to worker processes
-with ``--workers N`` / ``REPRO_BENCH_WORKERS`` (see
-:mod:`repro.bench.parallel`); results are deterministically identical
-to a sequential run.
+with ``--workers N`` / ``REPRO_BENCH_WORKERS`` or
+:func:`~repro.bench.runner.execution` (see :mod:`repro.bench.parallel`);
+results are deterministically identical to a sequential run.
 """
 
 from repro.bench.config import OVERLAP_SIZES, PAPER_SIZES, BenchConfig
@@ -24,7 +24,7 @@ from repro.bench.pingpong import (
     run_concurrent_pingpong,
     run_pingpong,
 )
-from repro.bench.runner import run_sweep
+from repro.bench.runner import execution, run_sweep
 
 __all__ = [
     "OVERLAP_SIZES",
@@ -41,6 +41,7 @@ __all__ = [
     "run_concurrent_pingpong",
     "run_pingpong",
     "run_sweep",
+    "execution",
     "WORKERS_ENV",
     "resolve_workers",
 ]

@@ -10,10 +10,13 @@ constant latency offsets.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.bench.config import BenchConfig
+from repro.bench.runner import run_sweep
 from repro.core.session import build_testbed
 from repro.core.waiting import BusyWait
-from repro.util.records import ResultRecord, ResultSet
+from repro.util.records import ResultSet
 
 
 def stream_bandwidth_mbps(
@@ -74,13 +77,12 @@ def run_bandwidth_sweep(
     schema's metric slot); ``extra["unit"]`` says so.
     """
     cfg = cfg or BenchConfig(sizes=(4096, 16 * 1024, 64 * 1024, 256 * 1024))
-    results = ResultSet()
-    for policy in policies:
-        for size in cfg.sizes:
-            mbps = stream_bandwidth_mbps(policy, size, seed=cfg.seed)
-            results.add(
-                ResultRecord(
-                    "bandwidth", policy, size, mbps, extra={"unit": "MB/s"}
-                )
-            )
-    return results
+    return run_sweep(
+        "bandwidth",
+        {
+            policy: partial(stream_bandwidth_mbps, policy, seed=cfg.seed)
+            for policy in policies
+        },
+        cfg,
+        extra=lambda name, size: {"unit": "MB/s"},
+    )

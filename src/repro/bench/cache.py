@@ -4,31 +4,38 @@ The figure and workload suites re-simulate every (config, size) point on
 every invocation even when nothing changed — and a sweep point is a pure
 function of the simulator source, the point function (with its bound
 arguments), the benchmark config and the message size.  This module
-fingerprints exactly those inputs into a SHA-256 key and stores the
-measured latency (plus the point's serialized observation blob, when one
-was captured) under ``results/.cache/``, so a warm re-run replays every
-unchanged point instead of simulating it.
+encodes exactly those inputs as plain data into a SHA-256 key and stores
+the measured latency (plus the point's serialized observation blob, when
+one was captured) under ``results/.cache/``, so a warm re-run replays
+every unchanged point instead of simulating it.
 
-Key material, in order:
+The key is the SHA-256 of one canonical ``json.dumps(..., sort_keys=True)``
+document holding:
 
 * the **package digest** — a combined SHA-256 over every ``*.py`` module
   of the installed ``repro`` package, so *any* source edit invalidates
   every entry (the conservative rule: simulated latencies may depend on
   any layer);
-* the **point-function fingerprint** — module + qualname for plain
-  functions, recursively expanded ``functools.partial`` args/keywords
-  (pickled), with embedded :class:`~repro.bench.config.BenchConfig`
-  values normalized so worker counts and cache flags never split keys;
-* the **sweep config** (iterations, warmup, seed, jitter, time limit —
-  *not* ``sizes``/``workers``/``cache``), the experiment id, the config
-  label and the **message size**;
+* the **point function** — ``module:qualname`` of a module-level function
+  or class, with ``functools.partial`` args/keywords expanded when they
+  are str, int, float, bool, None, tuples, functions/classes or a
+  :class:`~repro.bench.config.BenchConfig`;
+* the **sweep config** — every ``BenchConfig`` field except ``sizes``
+  (iterations, warmup, seed, jitter), the experiment id, the config label
+  and the **message size**;
 * the **observation spec** (trace flag + ring capacity) when a capture
   must ride along — entries recorded without a capture never satisfy an
   observed run.
 
-Entries live one-per-file under ``objects/<k[:2]>/<key>.pkl`` beside an
-``index.json`` of per-entry provenance.  A corrupted entry is discarded
-*loudly* (``RuntimeWarning`` + invalidation counter), never served.
+A point with any other input (a lambda, a closure, a bound method, a
+list) has no key: it is never cached and never shipped to the worker pool.
+Execution settings (workers, the cache switch) are not part of the
+description of a point, so they never reach a key.
+
+Entries are plain JSON, one per file under ``objects/<k[:2]>/<key>.json``
+beside an ``index.json`` of per-entry provenance.  Reading an entry never
+executes code; an unreadable or malformed entry is discarded *loudly*
+(``RuntimeWarning`` + invalidation counter), never served.
 
 Opt-outs: ``REPRO_BENCH_CACHE=0`` (environment) or ``--no-cache`` on the
 figure/workload CLIs; ``REPRO_BENCH_CACHE_DIR`` relocates the store.
@@ -44,7 +51,7 @@ import functools
 import hashlib
 import json
 import os
-import pickle
+import types
 import warnings
 from pathlib import Path
 from typing import Any, Mapping
@@ -59,7 +66,7 @@ CACHE_DIR_ENV = "REPRO_BENCH_CACHE_DIR"
 DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
 
 #: bump to orphan every existing entry after an incompatible layout change
-ENTRY_FORMAT = 1
+ENTRY_FORMAT = 2
 
 
 def enabled(flag: bool | None = None) -> bool:
@@ -166,57 +173,46 @@ def package_digest() -> str:
     return _package_digest_memo
 
 
-# -- fingerprinting -----------------------------------------------------------
+# -- key encoding -------------------------------------------------------------
 
 
-def _fingerprint_value(value: Any) -> Any:
-    """Stable, picklable stand-in for one bound argument.
+class _Unkeyable(Exception):
+    """A point input that is not plain data; the point gets no key."""
 
-    :class:`~repro.bench.config.BenchConfig` values are normalized so that
-    execution-only knobs (``workers``, ``cache``) and the sibling size list
-    never split keys — a warm re-run at any ``--workers`` count must hit.
+
+def _plain(value: Any) -> Any:
+    """The JSON-encodable form of one point input.
+
+    Accepts str/int/float/bool/None, tuples of those, module-level
+    functions and classes (as ``module:qualname``), ``functools.partial``
+    over them, and :class:`~repro.bench.config.BenchConfig` (every field
+    except the sibling ``sizes``).  Anything else — lambdas, closures,
+    bound methods, lists, dicts, arbitrary objects — raises
+    :class:`_Unkeyable`.
     """
     from repro.bench.config import BenchConfig
 
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
     if isinstance(value, BenchConfig):
-        return ("BenchConfig", _normalize_config(value))
-    return pickle.dumps(value, protocol=4)
-
-
-def _normalize_config(cfg: Any) -> tuple:
-    """The key-relevant fields of a BenchConfig, sorted by name."""
-    fields = dataclasses.asdict(cfg)
-    for execution_only in ("workers", "cache", "sizes"):
-        fields.pop(execution_only, None)
-    return tuple(sorted(fields.items()))
-
-
-def _fingerprint_fn(fn: Any) -> Any:
-    """Structural identity of a point function.
-
-    Raises when the function cannot be attested (lambdas, closures): such
-    points are simply not cacheable.
-    """
-    if isinstance(fn, functools.partial):
-        return (
-            "partial",
-            _fingerprint_fn(fn.func),
-            tuple(_fingerprint_value(v) for v in fn.args),
-            tuple(
-                sorted(
-                    (k, _fingerprint_value(v)) for k, v in fn.keywords.items()
-                )
-            ),
-        )
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", None)
-    if not module or not qualname or "<" in qualname:
-        raise ValueError(f"point function {fn!r} has no stable identity")
-    owner = getattr(fn, "__self__", None)
-    if owner is not None:
-        # bound method: the instance state is part of the identity
-        return ("method", module, qualname, pickle.dumps(owner, protocol=4))
-    return ("fn", module, qualname)
+        fields = dataclasses.asdict(value)
+        del fields["sizes"]
+        return {"BenchConfig": {k: _plain(v) for k, v in fields.items()}}
+    if isinstance(value, functools.partial):
+        return {
+            "partial": [
+                _plain(value.func),
+                [_plain(v) for v in value.args],
+                {k: _plain(v) for k, v in value.keywords.items()},
+            ]
+        }
+    if isinstance(value, (types.FunctionType, type)):
+        qualname = value.__qualname__
+        if "<" not in qualname:
+            return {"fn": f"{value.__module__}:{qualname}"}
+    raise _Unkeyable(repr(value))
 
 
 def point_key(
@@ -228,23 +224,27 @@ def point_key(
     cfg: Any,
     obs_spec: tuple | None = None,
 ) -> str | None:
-    """The SHA-256 cache key of one sweep point, or ``None`` when the
-    point cannot be fingerprinted (then it is measured every run)."""
+    """The SHA-256 cache key of one sweep point, or ``None`` when an input
+    is not plain data (then the point is measured every run, in-process).
+
+    The key material is one canonical ``json.dumps(..., sort_keys=True)``
+    document; see the module docstring for its fields.
+    """
     try:
-        material = (
-            ENTRY_FORMAT,
-            package_digest(),
-            _fingerprint_fn(fn),
-            experiment,
-            config,
-            int(size),
-            _normalize_config(cfg),
-            obs_spec,
-        )
-        blob = pickle.dumps(material, protocol=4)
-    except Exception:
+        material = {
+            "format": ENTRY_FORMAT,
+            "package": package_digest(),
+            "fn": _plain(fn),
+            "cfg": _plain(cfg),
+            "experiment": experiment,
+            "config": config,
+            "size": int(size),
+            "obs": _plain(obs_spec),
+        }
+    except _Unkeyable:
         return None
-    return hashlib.sha256(blob).hexdigest()
+    text = json.dumps(material, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- the store ----------------------------------------------------------------
@@ -265,7 +265,7 @@ class PointCache:
     # the two leading key characters shard the object directory so no
     # single directory accumulates every entry
     def _entry_path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.pkl"
+        return self.root / "objects" / key[:2] / f"{key}.json"
 
     @property
     def index_path(self) -> Path:
@@ -286,7 +286,7 @@ class PointCache:
             _stats.misses += 1
             return None
         try:
-            entry = pickle.loads(blob)
+            entry = json.loads(blob)
             if not isinstance(entry, dict) or entry.get("format") != ENTRY_FORMAT:
                 raise ValueError("unrecognized entry layout")
             float(entry["latency_us"])
@@ -333,7 +333,11 @@ class PointCache:
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(pickle.dumps(entry, protocol=4))
+        # the capture blob is encoded once and never decoded on this path
+        tmp.write_text(
+            json.dumps(entry, separators=(",", ":"), check_circular=False),
+            encoding="utf-8",
+        )
         os.replace(tmp, path)
         _stats.stores += 1
         self._pending_index[key] = dict(meta or {})
@@ -364,7 +368,7 @@ class PointCache:
 
     def entry_count(self) -> int:
         objects = self.root / "objects"
-        return sum(1 for _ in objects.rglob("*.pkl")) if objects.exists() else 0
+        return sum(1 for _ in objects.rglob("*.json")) if objects.exists() else 0
 
     def disk_bytes(self) -> int:
         if not self.root.exists():

@@ -12,10 +12,13 @@ Expected shapes: the binomial/dissemination algorithms scale as
 from __future__ import annotations
 
 import operator
+from functools import partial
 
+from repro.bench.config import BenchConfig
+from repro.bench.runner import run_sweep
 from repro.core.session import build_testbed
 from repro.madmpi import create_world, run_ranks
-from repro.util.records import ResultRecord, ResultSet
+from repro.util.records import ResultSet
 
 COLLECTIVES = ("barrier", "bcast", "allreduce", "allgather")
 
@@ -67,14 +70,14 @@ def collective_time_us(
 def run_collective_scaling(
     node_counts: tuple[int, ...] = (2, 3, 4, 6), *, policy: str = "fine"
 ) -> ResultSet:
-    """Collective time vs. communicator size."""
-    results = ResultSet()
-    for name in COLLECTIVES:
-        for nodes in node_counts:
-            us = collective_time_us(name, nodes, policy=policy)
-            results.add(
-                ResultRecord(
-                    "collectives", name, nodes, us, extra={"policy": policy}
-                )
-            )
-    return results
+    """Collective time vs. communicator size (the node counts ride on the
+    sweep's size axis)."""
+    return run_sweep(
+        "collectives",
+        {
+            name: partial(collective_time_us, name, policy=policy)
+            for name in COLLECTIVES
+        },
+        BenchConfig(sizes=tuple(node_counts)),
+        extra=lambda name, nodes: {"policy": policy},
+    )

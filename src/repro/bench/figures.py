@@ -9,15 +9,18 @@ table plus verdicts.  Command line::
     python -m repro.bench.figures fig8 --quick     # reduced sweep
     python -m repro.bench.figures all --workers 8  # parallel sweeps
 
-Every figure function accepts ``workers``: sweep points are measured on
-that many worker processes (``repro.bench.parallel``) with results
-deterministically identical to the sequential run.  ``workers=None``
-defers to the ``REPRO_BENCH_WORKERS`` environment variable.
+The ``FIGURES`` entry points accept ``workers`` and ``cache`` and install
+them (:func:`repro.bench.runner.execution`) around the figure: sweep
+points are measured on that many worker processes with results
+deterministically identical to the sequential run.  ``None`` defers to
+the ``REPRO_BENCH_WORKERS`` / ``REPRO_BENCH_CACHE`` environment variables.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 from typing import Callable
 
 from repro.analysis.fit import constant_offset
@@ -25,6 +28,7 @@ from repro.bench import affinity, lockcost, locking, overlap, waiting
 from repro.bench.config import OVERLAP_SIZES, PAPER_SIZES, BenchConfig
 from repro.bench.paper import PaperClaim, claim
 from repro.bench.report import print_figure
+from repro.bench.runner import execution
 from repro.util.records import ResultRecord, ResultSet
 
 FigureResult = tuple[ResultSet, list[tuple[PaperClaim, float]]]
@@ -36,32 +40,22 @@ FigureResult = tuple[ResultSet, list[tuple[PaperClaim, float]]]
 SWEEP_JITTER_NS = 150
 
 
-def _cfg(
-    quick: bool,
-    sizes=PAPER_SIZES,
-    workers: int | None = None,
-    cache: bool | None = None,
-) -> BenchConfig:
+def _cfg(quick: bool, sizes=PAPER_SIZES) -> BenchConfig:
     if quick:
         return BenchConfig(
             iterations=24,
             warmup=4,
             sizes=tuple(sizes[::3]) or sizes[:1],
             jitter_ns=SWEEP_JITTER_NS,
-            workers=workers,
-            cache=cache,
         )
     return BenchConfig(
-        iterations=48, warmup=4, sizes=sizes, jitter_ns=SWEEP_JITTER_NS,
-        workers=workers, cache=cache,
+        iterations=48, warmup=4, sizes=sizes, jitter_ns=SWEEP_JITTER_NS
     )
 
 
-def fig3(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig3(quick: bool = False) -> FigureResult:
     """Figure 3: impact of locking on latency."""
-    results = locking.run_fig3(_cfg(quick, workers=workers, cache=cache))
+    results = locking.run_fig3(_cfg(quick))
     offsets = locking.fig3_offsets(results)
     coarse_fit = constant_offset(results.series("none"), results.series("coarse"))
     checks = [
@@ -72,9 +66,7 @@ def fig3(
     return results, checks
 
 
-def fig5(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig5(quick: bool = False) -> FigureResult:
     """Figure 5: concurrent pingpongs.
 
     The paper's claims are evaluated at the node's saturation flow count
@@ -82,7 +74,7 @@ def fig5(
     MX path has about twice the message capacity of the 2009 stack, so the
     two-thread saturation of the paper appears at four flows here.
     """
-    results = locking.run_fig5(_cfg(quick, workers=workers, cache=cache))
+    results = locking.run_fig5(_cfg(quick))
     ratios = locking.fig5_ratios(results)
     sat = locking.FIG5_SATURATION_FLOWS
 
@@ -99,21 +91,17 @@ def fig5(
     return results, checks
 
 
-def fig6(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig6(quick: bool = False) -> FigureResult:
     """Figure 6: impact of PIOMan on latency."""
-    results = waiting.run_fig6(_cfg(quick, workers=workers, cache=cache))
+    results = waiting.run_fig6(_cfg(quick))
     fit = constant_offset(results.series("fine"), results.series("pioman (fine)"))
     checks = [(claim("fig6-pioman-offset"), fit.offset_ns * 1_000)]
     return results, checks
 
 
-def fig7(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig7(quick: bool = False) -> FigureResult:
     """Figure 7: impact of semaphores (passive waiting) on latency."""
-    results = waiting.run_fig7(_cfg(quick, workers=workers, cache=cache))
+    results = waiting.run_fig7(_cfg(quick))
     fit = constant_offset(
         results.series("active (fine)"), results.series("passive (fine)")
     )
@@ -121,11 +109,9 @@ def fig7(
     return results, checks
 
 
-def fig8(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig8(quick: bool = False) -> FigureResult:
     """Figure 8: impact of cache affinity on a quad-core chip."""
-    results = affinity.run_fig8(_cfg(quick, workers=workers, cache=cache))
+    results = affinity.run_fig8(_cfg(quick))
     deltas = affinity.affinity_deltas(results)
     far = (deltas["polling on cpu 2"] + deltas["polling on cpu 3"]) / 2
     checks = [
@@ -135,11 +121,9 @@ def fig8(
     return results, checks
 
 
-def fig8b(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig8b(quick: bool = False) -> FigureResult:
     """§4.1 in-text: cache affinity on the dual quad-core node."""
-    results = affinity.run_fig8b(_cfg(quick, workers=workers, cache=cache))
+    results = affinity.run_fig8b(_cfg(quick))
     deltas = affinity.affinity_deltas(results)
     checks = [
         (claim("fig8b-shared-l2"), deltas["polling on cpu 1"]),
@@ -149,11 +133,9 @@ def fig8b(
     return results, checks
 
 
-def fig9(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig9(quick: bool = False) -> FigureResult:
     """Figure 9: impact of tasklets on deferred message submission."""
-    cfg = _cfg(quick, sizes=OVERLAP_SIZES, workers=workers, cache=cache)
+    cfg = _cfg(quick, sizes=OVERLAP_SIZES)
     results = overlap.run_fig9(cfg)
     ref = results.series("reference")
     tasklet_fit = constant_offset(ref, results.series("tasklets"))
@@ -165,9 +147,7 @@ def fig9(
     return results, checks
 
 
-def text_lockcost(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def text_lockcost(quick: bool = False) -> FigureResult:
     """§3.1 text: the 70 ns spinlock cycle and per-message lock counts."""
     cycles = 100 if quick else 1_000
     cycle_ns = lockcost.measure_spin_cycle_ns(cycles)
@@ -185,9 +165,7 @@ def text_lockcost(
     return results, checks
 
 
-def text_dedicated_core(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def text_dedicated_core(quick: bool = False) -> FigureResult:
     """§3.3 text: dedicating 1 of 4 cores costs up to 25 % of compute."""
     duration = 500_000 if quick else 2_000_000
     loss = affinity.dedicated_core_loss(duration_ns=duration)
@@ -199,9 +177,7 @@ def text_dedicated_core(
     return results, checks
 
 
-def text_fixed_spin(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def text_fixed_spin(quick: bool = False) -> FigureResult:
     """§3.3 text: the fixed-spin algorithm avoids switches for fast events."""
     iters = 6 if quick else 12
     results = waiting.run_fixed_spin_sweep(iterations=iters)
@@ -216,9 +192,7 @@ def text_fixed_spin(
     return results, checks
 
 
-def decompose(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def decompose(quick: bool = False) -> FigureResult:
     """Extension: one-way latency decomposition per policy (§1's method:
     'decomposing each step of thread support')."""
     from repro.analysis.decompose import decompose_message
@@ -241,18 +215,40 @@ def decompose(
     return results, []
 
 
+def _entry(
+    figure: Callable[[bool], FigureResult],
+) -> Callable[..., FigureResult]:
+    """Wrap a figure as an entry point that installs the execution
+    settings (worker count, cache switch) around it."""
+
+    @functools.wraps(figure)
+    def run(
+        quick: bool = False,
+        *,
+        workers: int | None = None,
+        cache: bool | None = None,
+    ) -> FigureResult:
+        with execution(workers=workers, cache=cache):
+            return figure(quick)
+
+    return run
+
+
 FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "fig3": fig3,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig8b": fig8b,
-    "fig9": fig9,
-    "lockcost": text_lockcost,
-    "dedicated-core": text_dedicated_core,
-    "fixed-spin": text_fixed_spin,
-    "decompose": decompose,
+    name: _entry(figure)
+    for name, figure in {
+        "fig3": fig3,
+        "fig5": fig5,
+        "fig6": fig6,
+        "fig7": fig7,
+        "fig8": fig8,
+        "fig8b": fig8b,
+        "fig9": fig9,
+        "lockcost": text_lockcost,
+        "dedicated-core": text_dedicated_core,
+        "fixed-spin": text_fixed_spin,
+        "decompose": decompose,
+    }.items()
 }
 
 TITLES = {
@@ -294,6 +290,7 @@ def render(
     from repro.bench import cache as point_cache
     from repro.bench import parallel
     from repro.bench.report import provenance_note
+    from repro.obs import capture as obs_capture
 
     try:
         fn = FIGURES[name]
@@ -301,14 +298,13 @@ def render(
         raise KeyError(f"unknown figure {name!r}; known: {sorted(FIGURES)}") from None
     cache_before = point_cache.stats()
     pool_before = parallel.pool_stats()
-    if trace is None and not metrics:
+    observing = (
+        obs_capture.observe(trace=trace is not None)
+        if trace is not None or metrics
+        else contextlib.nullcontext()
+    )
+    with observing as observation:
         results, checks = fn(quick, workers=workers, cache=cache)
-        observation = None
-    else:
-        from repro.obs import capture as obs_capture
-
-        with obs_capture.observe(trace=trace is not None) as observation:
-            results, checks = fn(quick, workers=workers, cache=cache)
     note = provenance_note(
         workers=workers,
         cache_delta=point_cache.stats().delta(cache_before),

@@ -1,8 +1,8 @@
 """Measurement functions for the locking experiments (Figures 3 and 5).
 
 All point functions are module-level and composed with
-:func:`functools.partial`, so sweeps can cross a process boundary when
-``run_sweep`` runs with ``workers > 1``.
+:func:`functools.partial` over plain data, so sweep points are cacheable
+and can cross a process boundary.
 """
 
 from __future__ import annotations

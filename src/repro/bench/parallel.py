@@ -9,28 +9,26 @@ order on any process.  This module supplies the worker-pool machinery:
 * :func:`resolve_workers` — pick the worker count from an explicit
   argument, the ``REPRO_BENCH_WORKERS`` environment variable, or the
   sequential default of 1;
-* :func:`points_picklable` — decide whether a sweep can cross a process
-  boundary at all (closures can't; ``functools.partial`` over
-  module-level functions can);
 * :func:`get_pool` — the **persistent pool**: one process pool shared by
   every sweep of a suite run (created on first use, reused until the
   requested worker count changes, torn down at interpreter exit), so the
   per-sweep spawn cost is paid once per suite instead of once per figure;
-* :func:`compute_chunksize` — the size-aware dispatch granularity: big
-  uniform grids batch a few points per IPC round-trip, skewed grids
-  (one huge point among small ones — fig8b's shape) dispatch
-  point-by-point so a long-tail point never serializes a chunk of quick
-  ones behind it;
-* :func:`run_tasks` / :func:`run_points_parallel` — execute tasks via
-  index-tagged ``imap_unordered`` (workers pull work dynamically) and
-  reassemble the results **positionally**, so the returned list is
-  indistinguishable from a sequential run.
+* :func:`measure_point` — run one point, optionally under its own
+  observation, in this process or a worker;
+* :func:`run_tasks` — execute tasks via index-tagged ``imap_unordered``,
+  one point per dispatch (workers pull work dynamically, so a long point
+  never holds cheap ones behind it), and reassemble the results
+  **positionally**, so the returned list is indistinguishable from a
+  sequential run.
 
-Determinism: the task list is built config-major/size-minor exactly like
-the sequential loop, every task carries its own index, results are
-written back by index, and each point's simulation is seeded by its own
-testbed — so the merged ResultSet serializes byte-identically to the
-sequential one at any worker count and with any chunking.
+Which points may ship to the pool is decided by the runner: exactly those
+with a plain-data cache key (:func:`repro.bench.cache.point_key`), i.e.
+``functools.partial`` over module-level functions with plain arguments.
+
+Determinism: every task carries its own index, results are written back
+by index, and each point's simulation is seeded by its own testbed — so
+the merged ResultSet serializes byte-identically to the sequential one at
+any worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import pickle
 from typing import Callable, Mapping, Sequence
 
 #: environment variable consulted when no explicit worker count is given
@@ -46,16 +43,6 @@ WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
 #: measures one (config, size) point; returns latency in microseconds
 PointFn = Callable[[int], float]
-
-#: dispatch granularity target: ~this many chunks per worker keeps the
-#: scheduling dynamic (idle workers keep pulling) without one IPC
-#: round-trip per point on big uniform grids
-CHUNKS_PER_WORKER = 4
-
-#: a grid whose heaviest point exceeds this multiple of the mean point
-#: weight is *skewed*: dispatch point-by-point so the long tail never
-#: waits behind a batch of cheap points
-SKEW_RATIO = 2.0
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -82,68 +69,21 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def points_picklable(
-    configs: Mapping[str, PointFn],
-    extra: Callable[[str, int], dict] | None = None,
-) -> bool:
-    """True when every point function (and ``extra``) survives pickling.
+def measure_point(
+    fn: PointFn, size: int, capture: tuple[bool, int] | None = None
+) -> float | tuple[float, dict]:
+    """Run one point.
 
-    Lambdas and locally-defined closures do not; the benchmark modules
-    therefore express their points as ``functools.partial`` over
-    module-level measurement functions.  A non-picklable sweep falls back
-    to in-process execution (with a one-time warning from
-    :func:`repro.bench.runner.run_sweep` naming the sweep) — parallelism
-    is an optimisation, never a requirement.
+    With a ``(trace, max_events)`` capture spec, the point runs under its
+    own observation context (:mod:`repro.obs.capture`) and the serialized
+    capture rides back with the measurement, so the parent can merge
+    per-point traces in deterministic sweep order.
     """
-    try:
-        for fn in configs.values():
-            pickle.dumps(fn)
-        if extra is not None:
-            pickle.dumps(extra)
-    except Exception:
-        return False
-    return True
-
-
-def compute_chunksize(weights: Sequence[float], workers: int) -> int:
-    """Explicit dispatch chunk size for a task list with per-task
-    ``weights`` (the message sizes — the best cheap proxy for point cost).
-
-    Uniform grids get ``len // (workers * CHUNKS_PER_WORKER)`` tasks per
-    chunk (bounded below by 1): enough batching to amortize IPC, enough
-    chunks that finishing workers keep pulling.  A skewed grid — heaviest
-    point above :data:`SKEW_RATIO` × the mean — always uses 1, because
-    any chunk containing the long-tail point would serialize its
-    neighbours behind it and stretch the sweep's makespan.
-    """
-    n = len(weights)
-    if n == 0 or workers <= 0:
-        return 1
-    chunk = max(1, n // (workers * CHUNKS_PER_WORKER))
-    if chunk == 1:
-        return 1
-    mean = sum(weights) / n
-    if mean > 0 and max(weights) / mean > SKEW_RATIO:
-        return 1
-    return chunk
-
-
-def _measure_point(task: tuple) -> float | tuple[float, dict]:
-    """Worker-side shim: run one point.  Must stay module-level so the
-    pool can import it under the ``spawn`` start method.
-
-    With a 4th ``(trace, max_events)`` element, the point runs under the
-    worker's own observation context (:mod:`repro.obs.capture`) and the
-    serialized capture rides back with the measurement, so the parent can
-    merge per-worker traces in deterministic sweep order.
-    """
-    _name, fn, size = task[:3]
-    spec = task[3] if len(task) > 3 else None
-    if spec is None:
+    if capture is None:
         return fn(size)
     from repro.obs import capture as obs_capture
 
-    trace, max_events = spec
+    trace, max_events = capture
     with obs_capture.observe(trace=trace, max_events=max_events) as obs:
         latency = fn(size)
     return latency, obs.serialize()
@@ -151,9 +91,10 @@ def _measure_point(task: tuple) -> float | tuple[float, dict]:
 
 def _measure_indexed(item: tuple[int, tuple]) -> tuple[int, object]:
     """Worker-side shim for ``imap_unordered``: tag the outcome with the
-    task's sweep index so the parent can reassemble positionally."""
-    index, task = item
-    return index, _measure_point(task)
+    task's sweep index so the parent can reassemble positionally.  Must
+    stay module-level so the pool can import it under ``spawn``."""
+    index, (fn, size, capture) = item
+    return index, measure_point(fn, size, capture)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -224,62 +165,22 @@ def run_tasks(
     capture: tuple[bool, int] | None = None,
 ) -> list:
     """Measure an arbitrary ``(name, fn, size)`` task list on the
-    persistent pool; outcomes return positionally aligned with ``tasks``.
+    persistent pool; outcomes (as :func:`measure_point` returns them)
+    come back positionally aligned with ``tasks``.
 
-    Scheduling is dynamic — index-tagged ``imap_unordered`` with
-    :func:`compute_chunksize` granularity — so skewed grids load-balance;
-    the index tags restore sequential order on the way back.
+    Each dispatch carries one point: a point is milliseconds of
+    simulation, so batching saves little IPC and would let one long point
+    hold cheap ones behind it.
     """
     if not tasks:
         return []
-    full = [
-        task if capture is None else (*task, capture) for task in tasks
-    ]
     pool = get_pool(workers)
-    chunksize = compute_chunksize(
-        [task[2] for task in full], min(workers, len(full))
-    )
-    outcomes: list = [None] * len(full)
-    for index, outcome in pool.imap_unordered(
-        _measure_indexed, list(enumerate(full)), chunksize=chunksize
-    ):
+    items = [
+        (index, (fn, size, capture))
+        for index, (_name, fn, size) in enumerate(tasks)
+    ]
+    outcomes: list = [None] * len(items)
+    for index, outcome in pool.imap_unordered(_measure_indexed, items):
         outcomes[index] = outcome
-    _pool_stats["dispatched"] += len(full)
+    _pool_stats["dispatched"] += len(items)
     return outcomes
-
-
-def run_points_parallel(
-    configs: Mapping[str, PointFn],
-    sizes: Sequence[int],
-    workers: int,
-    *,
-    capture: tuple[bool, int] | None = None,
-) -> list[tuple]:
-    """Measure the whole (config, size) grid on ``workers`` processes.
-
-    Returns ``(config, size, latency_us)`` triples in **sequential sweep
-    order** (config-major, size-minor), regardless of which worker
-    finished first.
-
-    Args:
-        capture: optional ``(trace, max_events)`` observation spec; when
-            given, each point runs under its own worker-side observation
-            and the rows become ``(config, size, latency_us, snapshot)``
-            — snapshots arrive in sequential order, so merged traces are
-            deterministic.
-    """
-    tasks = [
-        (name, fn, size)
-        for name, fn in configs.items()
-        for size in sizes
-    ]
-    outcomes = run_tasks(tasks, workers, capture=capture)
-    if capture is None:
-        return [
-            (task[0], task[2], latency)
-            for task, latency in zip(tasks, outcomes)
-        ]
-    return [
-        (task[0], task[2], latency, snapshot)
-        for task, (latency, snapshot) in zip(tasks, outcomes)
-    ]

@@ -1,56 +1,97 @@
 """Parameter sweeps: turn per-point measurement functions into ResultSets.
 
-:func:`run_sweep` is the single funnel every figure and workload sweep
-goes through, and therefore where the two pipeline optimisations meet:
+:func:`run_sweep` is the single path every figure, workload and extension
+grid goes through, and therefore where the two pipeline optimisations
+meet:
 
 * the **incremental point cache** (:mod:`repro.bench.cache`): each
-  (config, size) point is fingerprinted and looked up before anything is
-  simulated — warm points replay their stored latency (and observation
-  blob), only cold points are measured, and fresh measurements are stored
-  back;
+  (config, size) point is keyed by its plain-data description and looked
+  up before anything is simulated — warm points replay their stored
+  latency (and observation blob), only cold points are measured, and
+  fresh measurements are stored back;
 * the **persistent worker pool** (:mod:`repro.bench.parallel`): the cold
   points fan out over a process pool shared across every sweep of the
-  suite run, scheduled dynamically so skewed grids load-balance.
+  suite run, one point per dispatch, so skewed grids load-balance.
 
-Both are pure wall-clock optimisations: the returned ResultSet has the
+How a sweep runs — worker count, cache on/off — is not part of what it
+measures.  Those settings live in one process-level :func:`execution`
+context, installed by the entry points (the figure callables, the
+workload runner and both command lines) and read here.
+
+Both optimisations are pure wall-clock: the returned ResultSet has the
 same records in the same order with the same JSON serialization whether
 points were computed or replayed, sequentially or on any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping
 
 from repro.bench import cache as point_cache
 from repro.bench.config import BenchConfig
-from repro.bench.parallel import (
-    points_picklable,
-    resolve_workers,
-    run_tasks,
-)
+from repro.bench.parallel import measure_point, resolve_workers, run_tasks
 from repro.obs import capture as obs_capture
 from repro.util.records import ResultRecord, ResultSet
 
 #: measures one (config, size) point; returns latency in microseconds
 PointFn = Callable[[int], float]
 
-#: sweeps already warned about the sequential fallback (one warning per
+
+@dataclass(frozen=True)
+class Execution:
+    """How sweeps run.  ``None`` defers to the environment:
+    ``REPRO_BENCH_WORKERS`` (default 1) and ``REPRO_BENCH_CACHE``
+    (default on)."""
+
+    workers: int | None = None
+    cache: bool | None = None
+
+
+_execution = Execution()
+
+
+@contextlib.contextmanager
+def execution(
+    *, workers: int | None = None, cache: bool | None = None
+) -> Iterator[Execution]:
+    """Install execution settings for every sweep run inside the block.
+
+    A ``None`` argument keeps the enclosing setting, so an entry point
+    called by another entry point inherits its caller's choice.
+    """
+    global _execution
+    if workers is not None and workers <= 0:
+        raise ValueError(f"workers must be > 0, got {workers}")
+    prev = _execution
+    _execution = Execution(
+        workers=prev.workers if workers is None else workers,
+        cache=prev.cache if cache is None else cache,
+    )
+    try:
+        yield _execution
+    finally:
+        _execution = prev
+
+
+#: sweeps already warned about the in-process fallback (one warning per
 #: experiment per process, not one per point)
 _warned_fallback: set[str] = set()
 
 
 def _warn_sequential_fallback(experiment: str) -> None:
-    """One-time warning: ``workers > 1`` requested but the sweep's point
-    functions cannot cross a process boundary."""
+    """One-time warning: ``workers > 1`` requested but some points have
+    no plain-data key, so they cannot ship to the pool."""
     if experiment in _warned_fallback:
         return
     _warned_fallback.add(experiment)
     warnings.warn(
-        f"sweep {experiment!r}: point functions are not picklable "
-        f"(closures/lambdas), so --workers has no effect here; running "
-        f"sequentially in-process",
+        f"sweep {experiment!r}: some point functions have no plain-data "
+        f"key (lambdas, closures, non-plain partial args), so --workers "
+        f"has no effect on them; running them in-process",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -78,82 +119,79 @@ def run_sweep(
     cfg: BenchConfig,
     *,
     extra: Callable[[str, int], dict] | None = None,
-    workers: int | None = None,
 ) -> ResultSet:
     """Measure every (config, size) combination.
 
     Each point builds its own fresh testbed inside ``PointFn`` — points are
     fully independent, like separate benchmark runs on the paper's cluster —
     which is what makes the grid embarrassingly parallel *and* cacheable.
+    ``extra`` (per-record extras) always runs in this process.
 
-    Args:
-        workers: worker processes for the grid.  Defaults to
-            ``cfg.workers``, then the ``REPRO_BENCH_WORKERS`` environment
-            variable, then 1 (fully sequential, in-process).  Any
-            ``workers > 1`` sweep whose point functions cannot be pickled
-            (lambdas, closures) falls back to the sequential path with a
-            one-time warning; either way the returned ResultSet has the
-            same records in the same order with the same JSON
-            serialization.
+    A point whose inputs are plain data (:func:`repro.bench.cache.point_key`
+    returns a key) is cacheable and may ship to the worker pool; any other
+    point is measured in-process on every run.  With the cache enabled,
+    keyed points are looked up before measuring and stored after; a warm
+    re-run replays the whole grid without building a single testbed.
 
-    Caching: with the incremental cache enabled (``cfg.cache``, the
-    ``REPRO_BENCH_CACHE`` environment variable, default on), every
-    fingerprintable point is looked up before measuring and stored after;
-    a warm re-run replays the whole grid without building a single
-    testbed.  When an observation is active, cached entries must carry
-    the point's capture blob (recorded under the same observation spec)
-    or they are treated as misses — replayed traces are byte-identical
-    to recomputed ones.
+    When an observation is active, every measured point runs under its
+    own nested observation and its serialized capture is absorbed in
+    sweep order — whether it was measured here, on a worker, or replayed
+    from the cache (entries must then carry a capture recorded under the
+    same observation spec).
     """
     if not configs:
         raise ValueError("run_sweep needs at least one config")
-    nworkers = resolve_workers(cfg.workers if workers is None else workers)
+    nworkers = resolve_workers(_execution.workers)
     observation = obs_capture.active()
     spec = (
         (observation.trace, observation.max_events)
         if observation is not None
         else None
     )
-    obs_key = ("obs", *spec) if spec is not None else None
 
     points = [
         (name, fn, size)
         for name, fn in configs.items()
         for size in cfg.sizes
     ]
-    picklable = points_picklable(configs, extra)
-    if nworkers > 1 and len(points) > 1 and not picklable:
+    keys = [
+        point_cache.point_key(
+            fn, experiment=experiment, config=name, size=size, cfg=cfg,
+            obs_spec=spec,
+        )
+        for name, fn, size in points
+    ]
+    if nworkers > 1 and len(points) > 1 and None in keys:
         _warn_sequential_fallback(experiment)
 
     store = (
-        point_cache.PointCache() if point_cache.enabled(cfg.cache) else None
+        point_cache.PointCache()
+        if point_cache.enabled(_execution.cache)
+        else None
     )
-    keys: list[str | None] = [None] * len(points)
     latencies: list[float | None] = [None] * len(points)
     blobs: list[dict | None] = [None] * len(points)
-
     if store is not None:
-        for i, (name, fn, size) in enumerate(points):
-            keys[i] = point_cache.point_key(
-                fn,
-                experiment=experiment,
-                config=name,
-                size=size,
-                cfg=cfg,
-                obs_spec=obs_key,
-            )
-            if keys[i] is None:
+        for i, key in enumerate(keys):
+            if key is None:
                 continue
-            entry = store.get(keys[i], need_capture=observation is not None)
-            if entry is None:
-                continue
-            latencies[i] = float(entry["latency_us"])
-            blobs[i] = entry.get("capture")
+            entry = store.get(key, need_capture=observation is not None)
+            if entry is not None:
+                latencies[i] = float(entry["latency_us"])
+                blobs[i] = entry.get("capture")
 
-    miss_idx = [i for i, v in enumerate(latencies) if v is None]
-
-    def remember(i: int, latency_us: float, blob: dict | None) -> None:
-        name, _fn, size = points[i]
+    misses = [i for i, v in enumerate(latencies) if v is None]
+    remote = [i for i in misses if keys[i] is not None]
+    if nworkers <= 1 or len(remote) <= 1:
+        remote = []
+    tasks = [points[i] for i in remote]
+    outcomes = dict(zip(remote, run_tasks(tasks, nworkers, capture=spec)))
+    for i in misses:
+        name, fn, size = points[i]
+        outcome = (
+            outcomes[i] if i in outcomes else measure_point(fn, size, spec)
+        )
+        latency_us, blob = outcome if spec is not None else (outcome, None)
         _check_latency(name, size, latency_us)
         latencies[i] = latency_us
         blobs[i] = blob
@@ -171,45 +209,9 @@ def run_sweep(
                 },
             )
 
-    # absorbed mode: every point's capture travels as a serialized blob
-    # (worker-side or nested observation), merged in sweep order below —
-    # the representation the cache stores and replays.  Without cache and
-    # without workers, live registration (set_label) is kept as-is.
-    absorbed = observation is not None and (
-        store is not None or (nworkers > 1 and picklable)
-    )
-
-    if miss_idx and nworkers > 1 and len(miss_idx) > 1 and picklable:
-        outcomes = run_tasks(
-            [points[i] for i in miss_idx], nworkers, capture=spec
-        )
-        for i, outcome in zip(miss_idx, outcomes):
-            if spec is None:
-                remember(i, outcome, None)
-            else:
-                latency_us, blob = outcome
-                remember(i, latency_us, blob)
-    else:
-        for i in miss_idx:
-            name, fn, size = points[i]
-            if observation is not None and absorbed:
-                # run under a nested observation so this point's capture
-                # serializes exactly like a worker's would — and can
-                # round-trip through the cache
-                with obs_capture.observe(
-                    trace=observation.trace, max_events=observation.max_events
-                ) as inner:
-                    latency_us = fn(size)
-                remember(i, latency_us, inner.serialize())
-            elif observation is not None:
-                observation.set_label(f"{experiment}/{name}/{size}")
-                remember(i, fn(size), None)
-            else:
-                remember(i, fn(size), None)
-
     results = ResultSet()
-    for i, (name, fn, size) in enumerate(points):
-        if absorbed and blobs[i] is not None:
+    for i, (name, _fn, size) in enumerate(points):
+        if observation is not None:
             # sweep order, whether the blob was replayed or just measured
             observation.absorb(blobs[i], label=f"{experiment}/{name}/{size}")
         results.add(

@@ -25,7 +25,7 @@ from repro.core.waiting import (
 )
 from repro.pioman.integration import attach_pioman
 from repro.sim.process import Delay
-from repro.util.records import ResultRecord, ResultSet
+from repro.util.records import ResultSet
 
 
 def _bed(policy: str, cfg: BenchConfig, *, pioman: bool) -> TestBed:
@@ -85,6 +85,41 @@ def run_fig7(cfg: BenchConfig | None = None) -> ResultSet:
     return run_sweep("fig7", configs, cfg)
 
 
+def fixed_spin_point(
+    spin_ns: int, *, event_delay_ns: int, iterations: int, warmup: int
+) -> float:
+    """Mean wait (us) of one receive whose message arrives
+    ``event_delay_ns`` after the wait starts, waited on with a
+    ``spin_ns`` fixed-spin threshold (steady state after ``warmup``)."""
+    waited: list[int] = []
+    for _ in range(iterations):
+        bed = build_testbed(policy="fine")
+        for node in (0, 1):
+            # polling pinned to the waiter's core, as in Figs. 6/7: the
+            # sweep isolates the spin/block trade-off from cache-affinity
+            # effects
+            attach_pioman(bed.machine(node), [bed.lib(node)], poll_cores=[0])
+
+        def receiver():
+            lib = bed.lib(0)
+            req = yield from lib.irecv(1, 4, 8)
+            t0 = bed.engine.now
+            yield from lib.wait(req, FixedSpinWait(spin_ns=spin_ns))
+            waited.append(bed.engine.now - t0)
+
+        def sender():
+            lib = bed.lib(1)
+            yield Delay(event_delay_ns, "compute")
+            req = yield from lib.isend(0, 4, 8)
+            yield from lib.wait(req)
+
+        tr = bed.machine(0).scheduler.spawn(receiver(), name="r", core=0, bound=True)
+        ts = bed.machine(1).scheduler.spawn(sender(), name="s", core=0, bound=True)
+        bed.run(until=lambda: tr.done and ts.done)
+    steady = waited[warmup:]
+    return sum(steady) / len(steady) / 1_000
+
+
 def run_fixed_spin_sweep(
     spin_values_ns: tuple[int, ...] = (0, 1_000, 2_000, 5_000, 10_000, 20_000),
     event_delay_ns: int = 8_000,
@@ -97,46 +132,23 @@ def run_fixed_spin_sweep(
 
     With ``spin >= delay`` the switch is avoided (latency ≈ active); with
     ``spin < delay`` the 750 ns switch cost appears but is bounded.
+
+    One series, spin threshold on the size axis: the sweep is 1-D, and a
+    per-threshold config would render a diagonal table indistinguishable
+    from a sweep full of holes.
     """
-    results = ResultSet()
-    for spin_ns in spin_values_ns:
-        waited: list[int] = []
-        for _ in range(iterations):
-            bed = build_testbed(policy="fine")
-            for node in (0, 1):
-                # polling pinned to the waiter's core, as in Figs. 6/7:
-                # the sweep isolates the spin/block trade-off from
-                # cache-affinity effects
-                attach_pioman(bed.machine(node), [bed.lib(node)], poll_cores=[0])
-
-            def receiver():
-                lib = bed.lib(0)
-                req = yield from lib.irecv(1, 4, 8)
-                t0 = bed.engine.now
-                yield from lib.wait(req, FixedSpinWait(spin_ns=spin_ns))
-                waited.append(bed.engine.now - t0)
-
-            def sender():
-                lib = bed.lib(1)
-                yield Delay(event_delay_ns, "compute")
-                req = yield from lib.isend(0, 4, 8)
-                yield from lib.wait(req)
-
-            tr = bed.machine(0).scheduler.spawn(receiver(), name="r", core=0, bound=True)
-            ts = bed.machine(1).scheduler.spawn(sender(), name="s", core=0, bound=True)
-            bed.run(until=lambda: tr.done and ts.done)
-        steady = waited[warmup:]
-        mean_us = sum(steady) / len(steady) / 1_000
-        results.add(
-            ResultRecord(
-                # one series, spin threshold on the size axis: the sweep is
-                # 1-D, and a per-threshold config would render a diagonal
-                # table indistinguishable from a sweep full of holes
-                "fixed-spin",
-                "fixed-spin wait",
-                spin_ns,
-                mean_us,
-                extra={"event_delay_ns": event_delay_ns},
-            )
-        )
-    return results
+    cfg = BenchConfig(
+        iterations=iterations, warmup=warmup, sizes=tuple(spin_values_ns)
+    )
+    point = partial(
+        fixed_spin_point,
+        event_delay_ns=event_delay_ns,
+        iterations=iterations,
+        warmup=warmup,
+    )
+    return run_sweep(
+        "fixed-spin",
+        {"fixed-spin wait": point},
+        cfg,
+        extra=lambda name, size: {"event_delay_ns": event_delay_ns},
+    )

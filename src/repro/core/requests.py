@@ -30,17 +30,19 @@ class ReqState(enum.Enum):
 
 
 class Request:
-    """Base class: identity, progress bookkeeping, completion flag."""
+    """Base class: identity, progress bookkeeping, completion flag.
 
-    _counter = 0
+    Request ids count per machine, so a run's ``req{N}`` labels do not
+    depend on what the process simulated before it.
+    """
 
     def __init__(self, machine: "Machine", peer: int, tag: int, size: int) -> None:
         if size < 0:
             raise ValueError(f"message size must be >= 0, got {size}")
         if tag < ANY_TAG:
             raise ValueError(f"tag must be >= 0 (or ANY_TAG for receives), got {tag}")
-        Request._counter += 1
-        self.req_id = Request._counter
+        machine.req_counter += 1
+        self.req_id = machine.req_counter
         self.machine = machine
         self.peer = peer
         self.tag = tag

@@ -33,8 +33,10 @@ MECHANISMS = (
 )
 
 
-def _merge_hist(into: dict[int, int], hist: dict[int, int]) -> None:
+def _merge_hist(into: dict[int, int], hist: dict) -> None:
+    # buckets come back as strings from a JSON round-trip (cache replay)
     for bucket, count in hist.items():
+        bucket = int(bucket)
         into[bucket] = into.get(bucket, 0) + count
 
 

@@ -115,6 +115,8 @@ class Machine:
         #: total cache-distance transfer ns charged on this node (completion
         #: visibility + cross-core descriptor hand-offs) — read by repro.obs
         self.transfer_charged_ns = 0
+        #: last request id issued on this node (ids are per machine)
+        self.req_counter = 0
 
     # -- convenience ---------------------------------------------------------
 

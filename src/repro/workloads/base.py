@@ -7,7 +7,7 @@ idle loops, or PIOMan plus timer-interrupt backstops).  The workload
 subsystem measures application-shaped traffic under every mechanism, the
 experiment the paper's microbenchmarks approximate.
 
-A *scenario* (see :mod:`repro.workloads.registry`) provides a picklable
+A *scenario* (see :mod:`repro.workloads.registry`) provides a module-level
 point function ``point(mech_key, variant, seed, size)`` returning the
 simulated makespan in microseconds; the harness here turns a mechanism
 key into a wired testbed + Mad-MPI world and runs the rank programs.

@@ -16,6 +16,7 @@ matrix report as ``matrix.txt``.  Runs are deterministic: the same
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 
 from repro.util.records import ResultSet
@@ -32,17 +33,12 @@ def run_scenarios(
     *,
     quick: bool = False,
     seed: int = 0,
-    workers: int | None = None,
     grid: str = "standard",
-    cache: bool | None = None,
 ) -> dict[str, ResultSet]:
     """Measure the named scenarios; returns {name: ResultSet} in call
     order."""
     return {
-        name: run_scenario(
-            name, quick=quick, seed=seed, workers=workers, grid=grid,
-            cache=cache,
-        )
+        name: run_scenario(name, quick=quick, seed=seed, grid=grid)
         for name in names
     }
 
@@ -145,23 +141,21 @@ def main(argv: list[str] | None = None) -> int:
     from repro.bench import cache as point_cache
     from repro.bench import parallel
     from repro.bench.report import provenance_note
+    from repro.bench.runner import execution
+    from repro.obs import capture as obs_capture
 
-    cache = False if args.no_cache else None
     cache_before = point_cache.stats()
     pool_before = parallel.pool_stats()
-    observation = None
-    if args.trace is not None or args.metrics:
-        from repro.obs import capture as obs_capture
-
-        with obs_capture.observe(trace=args.trace is not None) as observation:
-            results_by_scenario = run_scenarios(
-                names, quick=args.quick, seed=args.seed,
-                workers=args.workers, grid=args.grid, cache=cache,
-            )
-    else:
+    observing = (
+        obs_capture.observe(trace=args.trace is not None)
+        if args.trace is not None or args.metrics
+        else contextlib.nullcontext()
+    )
+    with execution(
+        workers=args.workers, cache=False if args.no_cache else None
+    ), observing as observation:
         results_by_scenario = run_scenarios(
-            names, quick=args.quick, seed=args.seed,
-            workers=args.workers, grid=args.grid, cache=cache,
+            names, quick=args.quick, seed=args.seed, grid=args.grid
         )
 
     report = mechanism_matrix(results_by_scenario)

@@ -6,8 +6,9 @@ grid defines, times the scenario's variants) and returns a
 :class:`~repro.util.records.ResultSet` whose ``config`` axis is the
 mechanism label and whose ``size`` axis is the scenario's sweep axis.
 Sweep points are independent (each builds a fresh testbed), so the grid
-fans out across worker processes through :mod:`repro.bench.parallel`
-with deterministically identical results.
+fans out across worker processes and the point cache through
+:func:`repro.bench.runner.run_sweep` with deterministically identical
+results.
 
 :func:`mechanism_matrix` renders the cross-scenario report: one
 figure-style table per scenario plus a per-scenario mechanism ranking
@@ -21,7 +22,7 @@ from functools import partial
 
 from repro.bench.config import BenchConfig
 from repro.bench.report import figure_table
-from repro.bench.runner import run_sweep
+from repro.bench.runner import execution, run_sweep
 from repro.util.records import ResultSet
 from repro.workloads.base import Mechanism, mechanism_grid
 from repro.workloads.registry import Scenario, get
@@ -50,7 +51,8 @@ def run_scenario(
     """Measure ``name`` across the mechanism grid; deterministic for a
     given seed (two runs serialize to byte-identical JSON, any worker
     count included — and whether points were computed or replayed from
-    the incremental cache)."""
+    the incremental cache).  ``workers`` and ``cache`` are installed as
+    the execution settings (:func:`repro.bench.runner.execution`)."""
     sc = get(name)
     mechs = mechanism_grid(grid)
     configs = {
@@ -63,12 +65,11 @@ def run_scenario(
         warmup=0,
         sizes=sc.sweep_sizes(quick),
         seed=seed,
-        workers=workers,
-        cache=cache,
     )
-    return run_sweep(
-        f"workload-{name}", configs, cfg, extra=partial(_extra, sc.axis)
-    )
+    with execution(workers=workers, cache=cache):
+        return run_sweep(
+            f"workload-{name}", configs, cfg, extra=partial(_extra, sc.axis)
+        )
 
 
 def rank_mechanisms(results: ResultSet) -> list[tuple[str, float]]:

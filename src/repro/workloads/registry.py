@@ -3,9 +3,9 @@
 A :class:`Scenario` bundles a sweep axis (what the ``size`` column of its
 :class:`~repro.util.records.ResultSet` means), optional variants (extra
 series beside the mechanism grid, e.g. the pipeline's funneled vs.
-multiple split) and a *picklable* point function, so scenario sweeps can
-fan out across worker processes exactly like the figure sweeps
-(:mod:`repro.bench.parallel`).
+multiple split) and a *module-level* point function, so scenario points
+have a plain-data key and can be cached and fan out across worker
+processes exactly like the figure sweeps (:mod:`repro.bench.runner`).
 
 Scenario modules call :func:`register` at import time;
 :func:`repro.workloads.registry.load_all` imports every built-in scenario

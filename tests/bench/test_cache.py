@@ -7,6 +7,7 @@ change or config change, refuses to serve corrupted entries, and replays
 observation blobs such that a warm trace equals the cold one.
 """
 
+import json
 import pickle
 from functools import partial
 
@@ -16,7 +17,7 @@ from repro.bench import cache as bench_cache
 from repro.bench import locking
 from repro.bench.cache import PointCache, point_key
 from repro.bench.config import BenchConfig
-from repro.bench.runner import run_sweep
+from repro.bench.runner import execution, run_sweep
 from repro.util.records import ResultSet
 from repro.workloads.matrix import run_scenario
 
@@ -85,6 +86,9 @@ class TestPointKey:
 
     def test_partial_args_split_keys(self):
         assert self._key() != self._key(fn=partial(_linear_point, 3.0))
+        assert self._key(fn=partial(_linear_point, 1)) != self._key(
+            fn=partial(_linear_point, True)
+        )
 
     def test_seed_splits_keys(self):
         import dataclasses
@@ -99,22 +103,29 @@ class TestPointKey:
         assert self._key() != self._key(cfg=other)
 
     def test_workers_and_cache_and_sizes_do_not_split_keys(self):
-        """Execution-only knobs must hit the same entries."""
+        """Execution settings and the sibling size list must hit the
+        same entries."""
         import dataclasses
 
-        for variant in (
-            dataclasses.replace(QUICK, workers=8),
-            dataclasses.replace(QUICK, cache=True),
-            dataclasses.replace(QUICK, sizes=(1, 2, 4)),
-        ):
-            assert self._key() == self._key(cfg=variant)
+        plain = self._key()
+        with execution(workers=8, cache=True):
+            assert self._key() == plain
+        assert self._key(cfg=dataclasses.replace(QUICK, sizes=(1, 2, 4))) == plain
 
     def test_embedded_benchconfig_normalized(self):
         """A BenchConfig bound inside the partial (the figure idiom) is
-        normalized the same way as the sweep config."""
-        fn_seq = partial(_linear_point, 2.0, cfg=QUICK)
-        fn_par = partial(_linear_point, 2.0, cfg=QUICK.with_workers(8))
-        assert self._key(fn=fn_seq) == self._key(fn=fn_par)
+        encoded the same way as the sweep config: without its sizes."""
+        import dataclasses
+
+        fn_a = partial(_linear_point, 2.0, cfg=QUICK)
+        fn_b = partial(
+            _linear_point, 2.0, cfg=dataclasses.replace(QUICK, sizes=(4,))
+        )
+        assert self._key(fn=fn_a) == self._key(fn=fn_b)
+        fn_c = partial(
+            _linear_point, 2.0, cfg=dataclasses.replace(QUICK, seed=3)
+        )
+        assert self._key(fn=fn_a) != self._key(fn=fn_c)
 
     def test_obs_spec_splits_keys(self):
         assert self._key() != self._key(obs_spec=("obs", True, 1000))
@@ -133,12 +144,38 @@ class TestPointKey:
             return 1.0
 
         assert self._key(fn=closure) is None
+        # bound methods, mutable containers and arbitrary objects are not
+        # plain data either
+        assert self._key(fn=QUICK.with_sizes) is None
+        assert self._key(fn=partial(_linear_point, [2.0])) is None
+        assert self._key(fn=partial(_linear_point, object())) is None
+
+    def test_plain_data_partials_are_keyed(self):
+        """The figure and grid idioms: functions, classes, tuples and
+        BenchConfigs as partial args all have a key."""
+        from repro.core.waiting import BusyWait
+
+        fn = partial(
+            _linear_point, 2.0, cls=BusyWait, sizes=(1, 2), flag=None, ok=True
+        )
+        assert self._key(fn=fn) is not None
+        assert self._key(fn=fn) != self._key(fn=partial(_linear_point, 2.0))
 
     def test_package_digest_covers_every_module(self):
         digests = bench_cache.module_digests()
         assert "bench/cache.py" in digests
         assert "sim/engine.py" in digests
         assert all(len(d) == 64 for d in digests.values())
+
+
+class _Exploit:
+    """Unpickling this creates a marker file: proof that code ran."""
+
+    def __init__(self, marker: str) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
 
 
 class TestStoreRoundTrip:
@@ -163,24 +200,48 @@ class TestStoreRoundTrip:
         assert store.get("ef" * 32, need_capture=True) is None
         assert store.get("ef" * 32) is not None
 
+    def test_entries_are_plain_json(self, tmp_path):
+        store = PointCache(tmp_path / "c")
+        key = "9a" * 32
+        capture = {"captures": [{"label": "x", "machines": []}]}
+        store.put(key, latency_us=2.5, capture=capture)
+        path = store._entry_path(key)
+        assert path.suffix == ".json"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert entry == {
+            "format": bench_cache.ENTRY_FORMAT,
+            "latency_us": 2.5,
+            "capture": capture,
+        }
+
     def test_corrupted_entry_discarded_loudly(self, tmp_path):
-        bench_cache.reset_stats()
         store = PointCache(tmp_path / "c")
         key = "12" * 32
-        store.put(key, latency_us=1.0)
-        path = store._entry_path(key)
-        path.write_bytes(b"\x80garbage not a pickle")
-        with pytest.warns(RuntimeWarning, match="corrupted sweep-cache"):
-            assert store.get(key) is None
-        assert bench_cache.stats().invalidations == 1
-        assert not path.exists(), "corrupted entry must be deleted"
+        marker = tmp_path / "executed"
+        for payload in (
+            b"\x80garbage not a pickle",
+            pickle.dumps(_Exploit(str(marker))),
+            b'{"format": 2, "latency_us": ',  # truncated JSON
+            b"[1, 2, 3]",
+            b'{"format": 2, "latency_us": "fast"}',
+            b'{"format": 2, "latency_us": 1.0, "capture": {"captures": [1]}}',
+        ):
+            bench_cache.reset_stats()
+            store.put(key, latency_us=1.0)
+            path = store._entry_path(key)
+            path.write_bytes(payload)
+            with pytest.warns(RuntimeWarning, match="corrupted sweep-cache"):
+                assert store.get(key) is None, payload
+            assert bench_cache.stats().invalidations == 1
+            assert not path.exists(), "corrupted entry must be deleted"
+            assert not marker.exists(), "a cache read executed code"
 
     def test_wrong_format_discarded_loudly(self, tmp_path):
         store = PointCache(tmp_path / "c")
         key = "34" * 32
         store.put(key, latency_us=1.0)
         path = store._entry_path(key)
-        path.write_bytes(pickle.dumps({"format": 999, "latency_us": 1.0}))
+        path.write_text(json.dumps({"format": 999, "latency_us": 1.0}))
         with pytest.warns(RuntimeWarning, match="corrupted"):
             assert store.get(key) is None
 
@@ -219,9 +280,10 @@ class TestRunSweepCaching:
 
     def test_cache_off_measures_every_time(self, warm_cache):
         configs = {"a": partial(_counting_point)}
-        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2), cache=False)
-        run_sweep("exp", configs, cfg)
-        run_sweep("exp", configs, cfg)
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
+        with execution(cache=False):
+            run_sweep("exp", configs, cfg)
+            run_sweep("exp", configs, cfg)
         assert _COUNTER == [1, 2, 1, 2]
 
     def test_unfingerprintable_points_always_measured(self, warm_cache):
@@ -255,19 +317,31 @@ class TestRunSweepCaching:
         run_sweep("exp", configs, cfg)
         assert _COUNTER == [1, 2, 1, 2], "source edit must invalidate"
 
-    def test_corrupted_entry_recomputed(self, warm_cache):
+    def test_corrupted_entry_recomputed(self, warm_cache, tmp_path):
+        """Junk, invalid JSON and a planted pickle whose unpickling would
+        create a marker file: each is discarded loudly, counted, never
+        executed, and the point is recomputed."""
         configs = {"a": partial(_counting_point)}
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1,))
         run_sweep("exp", configs, cfg)
         store = PointCache()
-        objects = store.root / "objects"
-        entries = list(objects.rglob("*.pkl"))
-        assert len(entries) == 1
-        entries[0].write_bytes(b"junk")
-        with pytest.warns(RuntimeWarning, match="corrupted"):
-            warm = run_sweep("exp", configs, cfg)
-        assert _COUNTER == [1, 1], "corrupted entry must be recomputed"
-        assert warm.point("a", 1) == 1.0
+        marker = tmp_path / "executed"
+        plants = (
+            b"junk",
+            b'{"format": 2, "latency_us": 1.0',
+            pickle.dumps(_Exploit(str(marker))),
+        )
+        for n, plant in enumerate(plants, start=2):
+            entries = list((store.root / "objects").rglob("*.json"))
+            assert len(entries) == 1
+            entries[0].write_bytes(plant)
+            before = bench_cache.stats()
+            with pytest.warns(RuntimeWarning, match="corrupted"):
+                warm = run_sweep("exp", configs, cfg)
+            assert bench_cache.stats().delta(before).invalidations == 1
+            assert not marker.exists(), "a cache read executed code"
+            assert _COUNTER == [1] * n, "corrupted entry must be recomputed"
+            assert warm.point("a", 1) == 1.0
 
     def test_parallel_cold_then_sequential_warm(self, warm_cache):
         configs = {
@@ -275,7 +349,8 @@ class TestRunSweepCaching:
             "steep": partial(_linear_point, 3.0),
         }
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2, 4, 8))
-        cold = run_sweep("exp", configs, cfg, workers=2)
+        with execution(workers=2):
+            cold = run_sweep("exp", configs, cfg)
         before = bench_cache.stats()
         warm = run_sweep("exp", configs, cfg)
         delta = bench_cache.stats().delta(before)
@@ -315,24 +390,37 @@ class TestFigureAndWorkloadWarmRuns:
     def test_fig3_warm_across_worker_counts(self, warm_cache):
         cold = locking.run_fig3(QUICK)
         for workers in (2, 4):
-            warm = locking.run_fig3(QUICK.with_workers(workers))
+            with execution(workers=workers):
+                warm = locking.run_fig3(QUICK)
             assert warm.to_json() == cold.to_json()
 
 
 class TestObservationRoundTrip:
     """Capture blobs must round-trip through the cache: a warm observed
-    run replays the very blobs its cold run serialized."""
+    run replays the very blobs its cold run serialized (as JSON, so tuples
+    come back as lists and int dict keys as strings)."""
 
     def test_warm_trace_equals_cold_trace(self, warm_cache):
         from repro.obs import capture as obs_capture
+        from repro.obs.chrometrace import build_trace
 
         with obs_capture.observe(trace=True) as cold_obs:
             cold = locking.run_fig3(QUICK)
         with obs_capture.observe(trace=True) as warm_obs:
             warm = locking.run_fig3(QUICK)
+        assert bench_cache.stats().hits == len(warm)
         assert cold.to_json() == warm.to_json()
-        assert cold_obs.serialize() == warm_obs.serialize()
+        assert (
+            json.loads(json.dumps(cold_obs.serialize())) == warm_obs.serialize()
+        )
         assert warm_obs.event_count() == cold_obs.event_count() > 0
+        assert json.dumps(build_trace(cold_obs.captures())) == json.dumps(
+            build_trace(warm_obs.captures())
+        )
+        assert (
+            cold_obs.metrics_registry().report()
+            == warm_obs.metrics_registry().report()
+        )
 
     def test_blind_entries_do_not_serve_observed_runs(self, warm_cache):
         from repro.obs import capture as obs_capture

@@ -16,14 +16,12 @@ from repro.bench import locking, parallel, waiting
 from repro.bench.config import BenchConfig
 from repro.bench.parallel import (
     WORKERS_ENV,
-    compute_chunksize,
     get_pool,
-    points_picklable,
     resolve_workers,
     run_tasks,
     shutdown_pool,
 )
-from repro.bench.runner import run_sweep
+from repro.bench.runner import execution, run_sweep
 from repro.util.records import ResultRecord, ResultSet
 
 #: reduced sweep: enough sizes to exercise the grid, small enough for CI
@@ -31,7 +29,7 @@ QUICK = BenchConfig(iterations=8, warmup=2, sizes=(1, 64, 1024), jitter_ns=150)
 
 
 def _linear_point(slope: float, size: int) -> float:
-    """Module-level (hence picklable) fake measurement."""
+    """Module-level (hence keyed and shippable) fake measurement."""
     return slope * size + 1.0
 
 
@@ -60,23 +58,10 @@ class TestWorkerResolution:
         with pytest.raises(ValueError):
             resolve_workers(-2)
 
-    def test_config_validates_workers(self):
+    def test_execution_validates_workers(self):
         with pytest.raises(ValueError):
-            BenchConfig(workers=0)
-        assert BenchConfig(workers=2).workers == 2
-        assert BenchConfig().with_workers(4).workers == 4
-
-
-class TestPicklability:
-    def test_partials_over_module_functions_are_picklable(self):
-        assert points_picklable({"a": partial(_linear_point, 2.0)})
-
-    def test_lambdas_are_not(self):
-        assert not points_picklable({"a": lambda size: 1.0})
-
-    def test_extra_callback_participates(self):
-        configs = {"a": partial(_linear_point, 2.0)}
-        assert not points_picklable(configs, extra=lambda n, s: {})
+            with execution(workers=0):
+                pass
 
 
 def _sleep_ms_point(size: int) -> float:
@@ -84,25 +69,6 @@ def _sleep_ms_point(size: int) -> float:
     synthetic skewed grid of the chunking regression test."""
     time.sleep(size / 1000.0)
     return float(size)
-
-
-class TestComputeChunksize:
-    def test_small_grids_dispatch_point_by_point(self):
-        assert compute_chunksize([8] * 6, 4) == 1
-        assert compute_chunksize([], 4) == 1
-
-    def test_uniform_grid_batches(self):
-        # 64 uniform points on 2 workers: 64 // (2*4) = 8 per chunk
-        assert compute_chunksize([1024] * 64, 2) == 8
-
-    def test_skewed_grid_forces_single_point_chunks(self):
-        """One huge point among many small ones (fig8b's shape) must
-        never ride in a batch behind cheap points."""
-        weights = [32768] + [8] * 63
-        assert compute_chunksize(weights, 2) == 1
-
-    def test_zero_weights_still_batch(self):
-        assert compute_chunksize([0] * 64, 2) == 8
 
 
 class TestPersistentPool:
@@ -140,17 +106,17 @@ class TestPersistentPool:
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2, 4))
         configs = {"a": partial(_linear_point, 1.0)}
         before = parallel.pool_stats()
-        run_sweep("exp-one", configs, cfg, workers=2)
-        run_sweep("exp-two", configs, cfg, workers=2)
+        with execution(workers=2):
+            run_sweep("exp-one", configs, cfg)
+            run_sweep("exp-two", configs, cfg)
         delta = parallel.pool_stats_delta(before)
         assert delta["created"] <= 1
         assert delta["dispatched"] == 6
 
     def test_skewed_grid_near_ideal_makespan(self):
-        """Regression for the static-chunksize bug: a skewed grid (one
-        long point + a tail of short ones) on 4 workers must finish
-        within ~1.2x of the ideal makespan, i.e. the long point must not
-        serialize short points behind it in a shared chunk."""
+        """A skewed grid (one long point + a tail of short ones) on 4
+        workers must finish within ~1.2x of the ideal makespan, i.e. the
+        long point must not serialize short points behind it."""
         shutdown_pool()
         weights = [200] + [15] * 15
         tasks = [("skew", partial(_sleep_ms_point), w) for w in weights]
@@ -171,15 +137,17 @@ class TestSequentialFallbackWarning:
     def test_nonpicklable_with_workers_warns_naming_sweep(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
         with pytest.warns(RuntimeWarning, match="'my-sweep'.*--workers"):
-            run_sweep("my-sweep", {"a": lambda s: 1.0}, cfg, workers=2)
+            with execution(workers=2):
+                run_sweep("my-sweep", {"a": lambda s: 1.0}, cfg)
 
     def test_warning_is_one_time_per_sweep(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        with pytest.warns(RuntimeWarning):
-            run_sweep("once", {"a": lambda s: 1.0}, cfg, workers=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_sweep("once", {"a": lambda s: 1.0}, cfg, workers=2)
+        with execution(workers=2):
+            with pytest.warns(RuntimeWarning):
+                run_sweep("once", {"a": lambda s: 1.0}, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run_sweep("once", {"a": lambda s: 1.0}, cfg)
 
     def test_sequential_run_does_not_warn(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
@@ -189,11 +157,23 @@ class TestSequentialFallbackWarning:
 
     def test_picklable_parallel_does_not_warn(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), execution(workers=2):
             warnings.simplefilter("error")
-            run_sweep(
-                "pickl", {"a": partial(_linear_point, 1.0)}, cfg, workers=2
+            run_sweep("pickl", {"a": partial(_linear_point, 1.0)}, cfg)
+
+    def test_lambda_extra_still_ships_points(self):
+        """``extra`` runs in this process, so a lambda there neither
+        warns nor keeps keyed points off the pool."""
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
+        before = parallel.pool_stats()
+        with warnings.catch_warnings(), execution(workers=2):
+            warnings.simplefilter("error")
+            results = run_sweep(
+                "extra", {"a": partial(_linear_point, 1.0)}, cfg,
+                extra=lambda name, size: {"n": size},
             )
+        assert parallel.pool_stats_delta(before)["dispatched"] == 2
+        assert [r.extra for r in results] == [{"n": 1}, {"n": 2}]
 
 
 class TestRunSweepParallel:
@@ -204,7 +184,8 @@ class TestRunSweepParallel:
             "steep": partial(_linear_point, 3.0),
         }
         seq = run_sweep("exp", configs, cfg)
-        par = run_sweep("exp", configs, cfg, workers=2)
+        with execution(workers=2):
+            par = run_sweep("exp", configs, cfg)
         assert seq.to_json() == par.to_json()
         assert [r.sort_key() for r in seq] == [r.sort_key() for r in par]
 
@@ -216,15 +197,22 @@ class TestRunSweepParallel:
             calls.append(size)
             return float(size)
 
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            results = run_sweep("exp", {"a": closure_point}, cfg, workers=2)
+        with pytest.warns(RuntimeWarning, match="no plain-data key"):
+            with execution(workers=2):
+                results = run_sweep("exp", {"a": closure_point}, cfg)
         assert calls == [1, 2], "fallback must run in this very process"
         assert results.point("a", 2) == 2.0
 
     def test_workers_from_config(self):
-        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2), workers=2)
-        results = run_sweep("exp", {"a": partial(_linear_point, 1.0)}, cfg)
+        """The worker count comes from the execution settings, and a
+        nested ``None`` keeps the enclosing count."""
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
+        before = parallel.pool_stats()
+        with execution(workers=2), execution(cache=False) as settings:
+            assert settings.workers == 2
+            results = run_sweep("exp", {"a": partial(_linear_point, 1.0)}, cfg)
         assert results.point("a", 2) == 3.0
+        assert parallel.pool_stats_delta(before)["dispatched"] == 2
 
     def test_workers_from_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
@@ -245,7 +233,8 @@ class TestRunSweepParallel:
     def test_nan_rejected_on_parallel_path(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(8, 16))
         with pytest.raises(ValueError, match="non-finite"):
-            run_sweep("exp", {"bad": partial(_linear_point, math.nan)}, cfg, workers=2)
+            with execution(workers=2):
+                run_sweep("exp", {"bad": partial(_linear_point, math.nan)}, cfg)
 
 
 class TestFigureDeterminism:
@@ -253,12 +242,14 @@ class TestFigureDeterminism:
 
     def test_fig3_parallel_identical(self):
         seq = locking.run_fig3(QUICK)
-        par = locking.run_fig3(QUICK.with_workers(2))
+        with execution(workers=2):
+            par = locking.run_fig3(QUICK)
         assert seq.to_json() == par.to_json()
 
     def test_fig7_parallel_identical(self):
         seq = waiting.run_fig7(QUICK)
-        par = waiting.run_fig7(QUICK.with_workers(2))
+        with execution(workers=2):
+            par = waiting.run_fig7(QUICK)
         assert seq.to_json() == par.to_json()
 
 

@@ -6,7 +6,7 @@ from functools import partial
 from repro.bench import locking
 from repro.bench.config import BenchConfig
 from repro.bench.pingpong import run_pingpong
-from repro.bench.runner import run_sweep
+from repro.bench.runner import execution, run_sweep
 from repro.core import build_testbed
 from repro.obs import build_trace, observe, validate_trace
 from repro.obs.chrometrace import KNOWN_PHASES
@@ -135,8 +135,8 @@ class TestParallelTraceDeterminism:
             p: partial(locking.fig3_point, p, cfg=self.CFG)
             for p in ("none", "fine")
         }
-        with observe() as obs:
-            results = run_sweep("fig3", configs, self.CFG, workers=workers)
+        with execution(workers=workers), observe() as obs:
+            results = run_sweep("fig3", configs, self.CFG)
         return results, build_trace(obs.captures())
 
     def test_parallel_trace_identical_to_sequential(self):
@@ -153,9 +153,32 @@ class TestParallelTraceDeterminism:
             p: partial(locking.fig3_point, p, cfg=self.CFG)
             for p in ("none", "fine")
         }
-        with observe() as obs:
-            run_sweep("fig3", configs, self.CFG, workers=2)
+        with execution(workers=2), observe() as obs:
+            run_sweep("fig3", configs, self.CFG)
         labels = [c["label"] for c in obs.captures()]
         assert labels == [
             "fig3/none/8", "fig3/none/64", "fig3/fine/8", "fig3/fine/64",
         ]
+
+
+class TestRequestIdsPerMachine:
+    """Request ids count per machine, so a figure exports the same trace
+    bytes on every pass and at any worker count — request labels
+    included, unmasked."""
+
+    @staticmethod
+    def _export(path, workers):
+        from repro.bench.figures import FIGURES
+
+        with observe(trace=True) as obs:
+            FIGURES["fig7"](True, workers=workers)
+        obs.export_chrome(str(path))
+        return path.read_bytes()
+
+    def test_fig7_export_identical_across_passes_and_workers(self, tmp_path):
+        first = self._export(tmp_path / "first.json", 1)
+        second = self._export(tmp_path / "second.json", 1)
+        parallel = self._export(tmp_path / "parallel.json", 2)
+        assert b"req1" in first, "request labels must be in the trace"
+        assert first == second
+        assert first == parallel

@@ -1,5 +1,7 @@
 """Tests for the observation context and metrics registry (repro.obs)."""
 
+import json
+
 from repro.bench.pingpong import run_pingpong
 from repro.core import build_testbed
 from repro.obs import MetricsRegistry, active, observe
@@ -157,3 +159,21 @@ class TestMetricsRegistry:
         assert reg.pioman["poll_passes"] > 0
         assert reg.pioman["registered"] > 0
         assert reg.pioman["bookkeeping_ns"] > 0
+
+
+class TestJsonRoundTrippedCaptures:
+    def test_hist_buckets_merge_as_ints(self):
+        """A capture replayed from the JSON point cache has string
+        histogram buckets; merged with a live capture it must give the
+        same lock table as two live captures."""
+        _bed, live_a = _traced_pingpong()
+        _bed, live_b = _traced_pingpong()
+        replayed = json.loads(json.dumps(live_b.serialize()))["captures"]
+        both_live = MetricsRegistry.from_captures(
+            live_a.captures() + live_b.captures()
+        )
+        mixed = MetricsRegistry.from_captures(live_a.captures() + replayed)
+        assert any(row["hold_hist"] for row in both_live.locks.values())
+        assert mixed.locks == both_live.locks
+        assert mixed.lock_table() == both_live.lock_table()
+        assert mixed.report() == both_live.report()
