@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 from repro.core.collect import CollectLayer
 from repro.core.costmodel import CostModel
 from repro.core.locking import LockingPolicy, make_policy
-from repro.core.matching import MatchingTable
+from repro.core.matching import MatchingTable, UnexpectedRts
 from repro.core.packets import Packet, PacketKind, cts_packet
 from repro.core.requests import ReqState, RecvRequest, SendRequest
 from repro.core.strategies import DefaultStrategy, Plan, Strategy
@@ -421,20 +421,19 @@ class NewMadeleine:
         """Non-blocking probe: has a matching message arrived that no
         posted receive claimed yet?  Returns ``(found, size)``.
 
-        Checks both stashed eager data and pending rendezvous
-        announcements; runs one progress pass first so freshly-delivered
-        packets are visible (``MPI_Iprobe`` semantics).
+        Reports the oldest stashed arrival from ``peer`` with ``tag`` —
+        eager data or a rendezvous announcement, the message a receive
+        posted now would claim; runs one progress pass first so
+        freshly-delivered packets are visible (``MPI_Iprobe`` semantics).
         """
         self.rails(peer)
         yield from self.progress()
         yield Delay(self.costs.match_ns, "overhead")
-        for chunk in self.matching.unexpected_chunks():
-            if chunk.src_node == peer and (tag == -1 or chunk.tag == tag):
-                if chunk.offset == 0:
-                    return True, chunk.msg_size
-        for rts in self.matching.unexpected_rts():
-            if rts.src_node == peer and (tag == -1 or rts.tag == tag):
-                return True, rts.size
+        for entry in self.matching.unexpected():
+            if entry.src_node == peer and (tag == -1 or entry.tag == tag):
+                if isinstance(entry, UnexpectedRts):
+                    return True, entry.size
+                return True, entry.msg_size
         return False, None
 
     # ------------------------------------------------------------ receive path
@@ -442,8 +441,11 @@ class NewMadeleine:
     def _claim_unexpected(self, req: RecvRequest) -> SimGen:
         """Match a fresh receive against stashed arrivals.  Returns True when
         the request was satisfied or its rendezvous is now underway."""
-        rts = self.matching.take_unexpected_rts(req)
-        if rts is not None:
+        taken = self.matching.take_unexpected(req)
+        if taken is None:
+            return False
+        if isinstance(taken, UnexpectedRts):
+            rts = taken
             yield Delay(self.costs.match_ns, "overhead")
             if req.size < rts.size:
                 raise RuntimeError(
@@ -455,25 +457,22 @@ class NewMadeleine:
             self._pending_cts.append((rts.src_node, rts.req_id))
             self._poke_progress()
             return True
-        chunks = self.matching.take_unexpected_chunks(req)
-        if chunks:
-            core = yield WhereAmI()
-            done = False
-            for chunk in chunks:
-                yield Delay(self.costs.match_ns, "overhead")
-                if self.matching.finish_chunk(chunk, req):
-                    done = True
-            if done:
-                yield Delay(self.costs.complete_ns, "overhead")
-                req.complete(core=core)
-            else:
-                req.state = ReqState.IN_TRANSIT
-                first = chunks[0]
-                self.matching.register_in_progress(
-                    first.src_node, first.send_req_id, req
-                )
-            return True
-        return False
+        core = yield WhereAmI()
+        done = False
+        for chunk in taken:
+            yield Delay(self.costs.match_ns, "overhead")
+            if self.matching.finish_chunk(chunk, req):
+                done = True
+        if done:
+            yield Delay(self.costs.complete_ns, "overhead")
+            req.complete(core=core)
+        else:
+            req.state = ReqState.IN_TRANSIT
+            first = taken[0]
+            self.matching.register_in_progress(
+                first.src_node, first.send_req_id, req
+            )
+        return True
 
     def _handle_packet(self, packet: Packet) -> SimGen:
         """Process one arrived packet (caller holds the rx lock)."""

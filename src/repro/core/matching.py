@@ -2,8 +2,10 @@
 
 Arrived chunks are matched against posted receives by (source node, tag)
 in FIFO posting order, MPI-style.  Chunks (and rendezvous RTS handshakes)
-that arrive before a matching receive is posted are stashed on the
-*unexpected* queue and re-examined when a new receive is posted.
+that arrive before a matching receive is posted are stashed, in arrival
+order, on one *unexpected* queue and re-examined when a new receive is
+posted: the oldest matching arrival wins, eager or rendezvous, so
+messages from one (source, tag) never overtake each other.
 
 The posted-receive list is consumed only by the progress engine; posting
 is modelled as a lock-free MPSC append (cost
@@ -35,8 +37,8 @@ class MatchingTable:
 
     def __init__(self) -> None:
         self._posted: deque[RecvRequest] = deque()
-        self._unexpected_chunks: deque[Chunk] = deque()
-        self._unexpected_rts: deque[UnexpectedRts] = deque()
+        # stashed chunks and rendezvous announcements, in arrival order
+        self._unexpected: deque[Chunk | UnexpectedRts] = deque()
         # matched-but-incomplete receives (multi-chunk / multirail), by
         # (src_node, send_req_id)
         self._in_progress: dict[tuple[int, int], RecvRequest] = {}
@@ -53,19 +55,16 @@ class MatchingTable:
 
     @property
     def unexpected_count(self) -> int:
-        return len(self._unexpected_chunks) + len(self._unexpected_rts)
+        return len(self._unexpected)
 
     @property
     def has_unexpected(self) -> bool:
-        return bool(self._unexpected_chunks or self._unexpected_rts)
+        return bool(self._unexpected)
 
-    def unexpected_chunks(self) -> tuple[Chunk, ...]:
-        """Read-only view of the stashed data chunks (for probing)."""
-        return tuple(self._unexpected_chunks)
-
-    def unexpected_rts(self) -> tuple[UnexpectedRts, ...]:
-        """Read-only view of the stashed rendezvous announcements."""
-        return tuple(self._unexpected_rts)
+    def unexpected(self) -> tuple[Chunk | UnexpectedRts, ...]:
+        """Read-only view of the stashed arrivals, oldest first (for
+        probing)."""
+        return tuple(self._unexpected)
 
     # -- matching ------------------------------------------------------------
 
@@ -88,7 +87,7 @@ class MatchingTable:
         if req is None:
             req = self._find_posted(chunk.src_node, chunk.tag)
             if req is None:
-                self._unexpected_chunks.append(chunk)
+                self._unexpected.append(chunk)
                 return None
             if req.size < chunk.msg_size:
                 raise RuntimeError(
@@ -126,7 +125,7 @@ class MatchingTable:
         """Match a rendezvous announcement; stash it when nothing is posted."""
         req = self._find_posted(src_node, tag)
         if req is None:
-            self._unexpected_rts.append(UnexpectedRts(src_node, req_id, tag, size))
+            self._unexpected.append(UnexpectedRts(src_node, req_id, tag, size))
             return None
         if req.size < size:
             raise RuntimeError(
@@ -138,33 +137,35 @@ class MatchingTable:
 
     # -- unexpected replay ------------------------------------------------------
 
-    def take_unexpected_chunks(self, req_filter: RecvRequest) -> list[Chunk]:
-        """Pop stashed chunks that the newly-posted receive matches."""
-        taken: list[Chunk] = []
-        keep: deque[Chunk] = deque()
-        matched_key: tuple[int, int] | None = None
-        for chunk in self._unexpected_chunks:
-            key = (chunk.src_node, chunk.send_req_id)
-            same_message = matched_key is not None and key == matched_key
-            if same_message or (
-                matched_key is None
-                and req_filter.peer == chunk.src_node
-                and req_filter.matches(chunk.tag)
-            ):
-                if matched_key is None:
-                    matched_key = key
-                taken.append(chunk)
-                self.unexpected_hits += 1
-            else:
-                keep.append(chunk)
-        self._unexpected_chunks = keep
-        return taken
+    def take_unexpected(
+        self, req_filter: RecvRequest
+    ) -> UnexpectedRts | list[Chunk] | None:
+        """Pop the oldest stashed arrival the newly-posted receive matches.
 
-    def take_unexpected_rts(self, req_filter: RecvRequest) -> UnexpectedRts | None:
-        """Pop the oldest stashed RTS that the newly-posted receive matches."""
-        for rts in self._unexpected_rts:
-            if req_filter.peer == rts.src_node and req_filter.matches(rts.tag):
-                self._unexpected_rts.remove(rts)
-                self.unexpected_hits += 1
-                return rts
-        return None
+        Arrival order decides, whatever the kind (MPI non-overtaking): the
+        result is that rendezvous announcement, or every stashed chunk of
+        that eager message; None when nothing matches.
+        """
+        for first in self._unexpected:
+            if req_filter.peer == first.src_node and req_filter.matches(first.tag):
+                break
+        else:
+            return None
+        if isinstance(first, UnexpectedRts):
+            self._unexpected.remove(first)
+            self.unexpected_hits += 1
+            return first
+        key = (first.src_node, first.send_req_id)
+        taken: list[Chunk] = []
+        keep: deque[Chunk | UnexpectedRts] = deque()
+        for entry in self._unexpected:
+            if (
+                isinstance(entry, Chunk)
+                and (entry.src_node, entry.send_req_id) == key
+            ):
+                taken.append(entry)
+            else:
+                keep.append(entry)
+        self._unexpected = keep
+        self.unexpected_hits += len(taken)
+        return taken

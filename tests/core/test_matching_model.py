@@ -72,7 +72,7 @@ def test_matching_agrees_with_reference(operations):
             req_by_id[req.req_id] = req
             # real table: posting only; unexpected claims are the library's
             # job, emulate it like repro.core.library does
-            chunks = table.take_unexpected_chunks(req)
+            chunks = table.take_unexpected(req)
             if chunks:
                 expected_mid = model.post(peer, tag, req.req_id)
                 assert expected_mid is not None, "table matched, model did not"
@@ -94,4 +94,4 @@ def test_matching_agrees_with_reference(operations):
 
     # final queue sizes agree
     assert table.posted_count == len(model.posted)
-    assert len(table.unexpected_chunks()) == len(model.unexpected)
+    assert table.unexpected_count == len(model.unexpected)

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.core import build_testbed
 from repro.core.matching import MatchingTable
 from repro.core.packets import Chunk
 from repro.core.requests import ANY_TAG, RecvRequest, ReqState, SendRequest
 from repro.sim import Engine, Machine, quad_xeon_x5460
+from repro.sim.process import Delay
+from repro.workloads.bursty import bursty_point
 
 
 def machine():
@@ -141,7 +144,7 @@ class TestMatchingUnexpected:
         c = chunk()
         assert table.match_chunk(c) is None
         req = RecvRequest(m, 1, 5, 100)
-        taken = table.take_unexpected_chunks(req)
+        taken = table.take_unexpected(req)
         assert taken == [c]
         assert table.unexpected_count == 0
         assert table.unexpected_hits == 1
@@ -151,7 +154,7 @@ class TestMatchingUnexpected:
         table.match_chunk(chunk(req_id=10))
         table.match_chunk(chunk(req_id=11))  # a different message, same tag
         req = RecvRequest(m, 1, 5, 100)
-        taken = table.take_unexpected_chunks(req)
+        taken = table.take_unexpected(req)
         assert len(taken) == 1
         assert taken[0].send_req_id == 10
         assert table.unexpected_count == 1
@@ -161,13 +164,13 @@ class TestMatchingUnexpected:
         table.match_chunk(chunk(req_id=10, offset=0, length=50))
         table.match_chunk(chunk(req_id=10, offset=50, length=50))
         req = RecvRequest(m, 1, 5, 100)
-        assert len(table.take_unexpected_chunks(req)) == 2
+        assert len(table.take_unexpected(req)) == 2
 
     def test_non_matching_post_takes_nothing(self):
         m, table = machine(), MatchingTable()
         table.match_chunk(chunk(tag=5))
         req = RecvRequest(m, 1, 99, 100)
-        assert table.take_unexpected_chunks(req) == []
+        assert table.take_unexpected(req) is None
         assert table.unexpected_count == 1
 
 
@@ -186,7 +189,7 @@ class TestMatchingRts:
         m, table = machine(), MatchingTable()
         assert table.match_rts(1, 77, 5, 64_000) is None
         req = RecvRequest(m, 1, 5, 64_000)
-        rts = table.take_unexpected_rts(req)
+        rts = table.take_unexpected(req)
         assert rts is not None and rts.req_id == 77
 
     def test_rts_buffer_too_small(self):
@@ -199,4 +202,74 @@ class TestMatchingRts:
         m, table = machine(), MatchingTable()
         table.match_rts(2, 77, 5, 100)
         req = RecvRequest(m, 1, 5, 100)
-        assert table.take_unexpected_rts(req) is None
+        assert table.take_unexpected(req) is None
+
+    def test_eager_stashed_before_rts_is_claimed_first(self):
+        m, table = machine(), MatchingTable()
+        c = chunk(req_id=10, size=64)
+        table.match_chunk(c)
+        table.match_rts(1, 77, 5, 65_536)
+        assert table.take_unexpected(RecvRequest(m, 1, 5, 64)) == [c]
+        rts = table.take_unexpected(RecvRequest(m, 1, 5, 65_536))
+        assert rts.req_id == 77
+        assert table.unexpected_count == 0
+
+
+EAGER, RDV = 64, 65_536
+
+
+def _stash_then(sizes, receive):
+    """Node 0 sends ``sizes`` in order on one tag; node 1 lets them all
+    arrive unexpected, then runs ``receive(lib)``; returns its result."""
+    bed = build_testbed(policy="fine")
+    out = {}
+
+    def sender():
+        lib = bed.lib(0)
+        reqs = []
+        for size in sizes:
+            reqs.append((yield from lib.isend(1, 5, size)))
+        for req in reqs:
+            yield from lib.wait(req)
+
+    def receiver():
+        lib = bed.lib(1)
+        yield Delay(50_000)
+        while (yield from lib.progress()):
+            pass  # ingest every arrival: all land on the unexpected queue
+        assert lib.matching.unexpected_count == len(sizes)
+        out["result"] = yield from receive(lib)
+
+    ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0)
+    tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0)
+    bed.run(until=lambda: ts.done and tr.done)
+    return out["result"]
+
+
+class TestNonOvertaking:
+    """Eager and rendezvous messages from one (source, tag) are received
+    and probed in arrival order, whatever their kind."""
+
+    def test_eager_then_rendezvous_irecv_order(self):
+        def receive(lib):
+            small = yield from lib.irecv(0, 5, EAGER)
+            large = yield from lib.irecv(0, 5, RDV)
+            yield from lib.wait(small)
+            yield from lib.wait(large)
+            return small.bytes_done, large.bytes_done
+
+        assert _stash_then((EAGER, RDV), receive) == (EAGER, RDV)
+
+    def test_rendezvous_then_eager_probe_size(self):
+        def receive(lib):
+            found = yield from lib.probe(0, 5)
+            large = yield from lib.irecv(0, 5, RDV)
+            small = yield from lib.irecv(0, 5, EAGER)
+            yield from lib.wait(large)
+            yield from lib.wait(small)
+            return found, large.bytes_done, small.bytes_done
+
+        assert _stash_then((RDV, EAGER), receive) == ((True, RDV), RDV, EAGER)
+
+    def test_bursty_seed_106_completes(self):
+        assert bursty_point("fine/busy/inline", "default", 106, 8) > 0

@@ -5,12 +5,22 @@ These use the quick sweeps; the benchmarks/ directory runs the full ones.
 
 import pytest
 
+from repro.bench import cache as bench_cache
 from repro.bench import figures
 
 
+#: figures computed outside ``run_sweep``, so never cached
+UNCACHED = {"lockcost", "dedicated-core", "decompose"}
+
+
 @pytest.mark.parametrize("name", sorted(figures.FIGURES))
-def test_figure_claims_hold_quick(name):
+def test_figure_claims_hold_quick(name, monkeypatch):
+    """Each figure's claims hold, and a warm re-run against the (per-test)
+    point cache replays every point the cold run stored, byte for byte."""
+    monkeypatch.setenv(bench_cache.CACHE_ENV, "1")
+    start = bench_cache.stats()
     results, checks = figures.FIGURES[name](True)
+    middle = bench_cache.stats()
     assert len(results) > 0
     assert not results.missing_points(), "figure sweep left grid holes"
     failed = [
@@ -19,6 +29,15 @@ def test_figure_claims_hold_quick(name):
         if not c.check(m)
     ]
     assert not failed, failed
+
+    warm_results, warm_checks = figures.FIGURES[name](True)
+    cold = middle.delta(start)
+    warm = bench_cache.stats().delta(middle)
+    assert cold.misses == cold.stores == (0 if name in UNCACHED else len(results))
+    assert warm.misses == 0
+    assert warm.hits == cold.misses
+    assert warm_results.to_json() == results.to_json()
+    assert warm_checks == checks
 
 
 def test_render_produces_table_and_verdicts(capsys):

@@ -21,6 +21,13 @@ hashes with::
 
 and say so in the commit message — a silent hash change is a determinism
 bug by definition.
+
+:class:`TestWorkCounters` pins the engine's event count for the pingpong
+and stencil workloads the same way.  The count is the host work behind a
+result, exact and independent of machine load, so a change that adds or
+removes engine events (skipping empty polls, say) shows up here as a
+reviewed number, not as wall-clock noise.  Regenerate with ``bed.engine.events_run`` after
+the same calls as the tests, and say so in the commit message.
 """
 
 import hashlib
@@ -28,7 +35,10 @@ import hashlib
 import pytest
 
 from repro.bench.figures import FIGURES
+from repro.bench.pingpong import run_pingpong
+from repro.core.session import build_testbed
 from repro.workloads.matrix import run_scenario
+from repro.workloads.stencil import run_stencil
 
 #: SHA-256 of ResultSet.to_json() for the fig3 locking sweep, --quick
 FIG3_QUICK_SHA256 = "982855684400e57ba61667d8ee1ba42dd19d628b01fd46039a97c0f78aa5a6b1"
@@ -36,6 +46,10 @@ FIG3_QUICK_SHA256 = "982855684400e57ba61667d8ee1ba42dd19d628b01fd46039a97c0f78aa
 STENCIL_QUICK_SHA256 = (
     "d7125235c6f0f9a25232269d4c03e35c1882e997d3e068d7f1ba9546b21c975a"
 )
+#: engine events of a 1 KiB pingpong (200 iterations + 4 warm-up) per policy
+PINGPONG_EVENTS = {"none": 13294, "coarse": 19487, "fine": 15856}
+#: engine events of the fine/busy/inline stencil, 6 steps of 4 KiB halos
+STENCIL_EVENTS = 1765
 
 
 def _sha256(text: str) -> str:
@@ -84,3 +98,15 @@ class TestWorkloadGolden:
     def test_stencil_quick_workers_invariant(self, workers):
         result_set = run_scenario("stencil", quick=True, workers=workers)
         assert _sha256(result_set.to_json()) == STENCIL_QUICK_SHA256
+
+
+class TestWorkCounters:
+    @pytest.mark.parametrize("policy", sorted(PINGPONG_EVENTS))
+    def test_pingpong_events(self, policy):
+        bed = build_testbed(policy=policy)
+        run_pingpong(bed, 1024, iterations=200, warmup=4)
+        assert bed.engine.events_run == PINGPONG_EVENTS[policy]
+
+    def test_stencil_events(self):
+        run = run_stencil("fine/busy/inline", steps=6, halo_bytes=4096)
+        assert run.events_run == STENCIL_EVENTS
