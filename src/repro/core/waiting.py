@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim.process import Delay, SimGen, WhereAmI
+from repro.sim.process import SimGen, SpinRead, WhereAmI
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.library import NewMadeleine
@@ -83,8 +83,11 @@ class FlagSpinWait(WaitStrategy):
             )
         core = yield WhereAmI()
         yield from lib.pioman.register(req)
-        while not req.completion.visible(core):
-            yield Delay(self.SPIN_CHECK_NS, "poll")
+        completion = req.completion
+        while not completion.visible(core):
+            # one engine event for the whole spin: the completion resumes
+            # the thread at its first re-read that sees the flag
+            yield SpinRead(completion, self.SPIN_CHECK_NS)
 
 
 class PiomanBusyWait(WaitStrategy):

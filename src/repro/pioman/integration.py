@@ -55,12 +55,12 @@ def attach_pioman(
             raise ValueError(f"no such core: {idx}")
 
     def pioman_idle_hook(core: "Core") -> SimGen:
-        if core.index not in poll_set or not pioman.demand():
+        if not pioman.demand():
             return False
         did = yield from pioman.poll(core)
         return did
 
-    machine.hooks.register_idle(pioman_idle_hook)
+    machine.hooks.register_idle(pioman_idle_hook, cores=poll_set)
     machine.hooks.register_demand(pioman.demand)
     if enable_idle:
         # idle loops run on EVERY core (a blocked thread always switches to

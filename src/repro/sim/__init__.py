@@ -35,6 +35,7 @@ from repro.sim.process import (
     SimGen,
     SimThread,
     Sleep,
+    SpinRead,
     ThreadState,
     TryAcquire,
     WhereAmI,
@@ -89,6 +90,7 @@ __all__ = [
     "SimGen",
     "SimThread",
     "Sleep",
+    "SpinRead",
     "ThreadState",
     "TryAcquire",
     "WhereAmI",

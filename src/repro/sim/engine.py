@@ -6,11 +6,18 @@ share one engine — they share a clock, exactly like two real machines share
 wall-clock time — while each node has its own :class:`~repro.sim.machine.Machine`.
 
 Determinism: ties at equal timestamps are broken by insertion order, so a
-given program always produces the same trace.
+given program always produces the same trace.  Insertion order is carried
+by an integer *key*, ``(scheduling time << KEY_BITS) + n`` with ``n`` the
+order of scheduling within that timestamp.  Events are scheduled in time
+order, so the key is plain insertion order for every ordinary event; it
+exists so that a component that skips simulating work can file an event
+*as of* the time the skipped code would have scheduled it
+(:meth:`Engine.key_as_of`, :meth:`Engine.schedule_keyed`) and still sort
+among same-timestamp events as that code's event would have.
 
 Queue layout (the hot path of the whole simulator):
 
-* future events live in a heap of ``(time, seq, fn, args, handle)``
+* future events live in a heap of ``(time, key, fn, args, handle)``
   tuples — tuple comparison resolves on the leading ints in C, so heap
   operations never call back into Python comparison methods;
 * events scheduled *at the current timestamp* (the delay-0 dispatch/wake
@@ -28,16 +35,22 @@ Queue layout (the hot path of the whole simulator):
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.sim.errors import SimDeadlock, SimTimeLimit
+
+#: low bits of an event key: the order of scheduling within one timestamp.
+#: Ordinary events count up from 1; keys filed "as of" a past time use the
+#: upper half (``AS_OF_BIT``), after every ordinary event of that time.
+KEY_BITS = 20
+AS_OF_BIT = 1 << (KEY_BITS - 1)
 
 
 class EventHandle:
     """Cancellation token for a scheduled event."""
 
-    __slots__ = ("cancelled", "_engine")
+    __slots__ = ("cancelled", "_engine", "_entry")
 
     def __init__(self, engine: "Engine | None") -> None:
         self.cancelled = False
@@ -70,13 +83,25 @@ class Engine:
         self.now: int = 0
         #: future events: (time, seq, fn, args, handle-or-None) tuples
         self._heap: list[tuple] = []
-        #: events at the *current* timestamp: (fn, args, handle-or-None),
-        #: FIFO, drained after the heap's entries for this timestamp
+        #: events at the *current* timestamp: (fn, args, handle-or-None,
+        #: origin key), FIFO, drained after the heap's entries for this
+        #: timestamp
         self._bucket: list[tuple] = []
         #: index of the next unconsumed bucket entry (persisted so an
         #: `until` exit can resume mid-bucket)
         self._pos = 0
-        self._seq = 0
+        #: last key issued; reset to ``now << KEY_BITS`` when the clock moves
+        self._key = 0
+        #: counter behind :meth:`key_as_of`
+        self._as_of = 0
+        #: key of the running event.  A now-bucket event gets
+        #: ``now << KEY_BITS``: it runs after every heap event of this
+        #: timestamp, all of which were scheduled earlier.
+        self.key = 0
+        #: key of the event that queued the running now-bucket event (the
+        #: bucket runs in this order); ``now << KEY_BITS`` if that event
+        #: was itself a bucket event
+        self.origin = 0
         #: scheduled, not-yet-run, not-cancelled events (O(1) pending())
         self._live = 0
         self._events_run = 0
@@ -92,10 +117,10 @@ class Engine:
         handle = EventHandle(self)
         self._live += 1
         if delay_ns:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self.now + delay_ns, seq, fn, args, handle))
+            self._key = key = self._key + 1
+            heappush(self._heap, (self.now + delay_ns, key, fn, args, handle))
         else:
-            self._bucket.append((fn, args, handle))
+            self._bucket.append((fn, args, handle, self.key))
         return handle
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -106,10 +131,10 @@ class Engine:
         handle = EventHandle(self)
         self._live += 1
         if time_ns > self.now:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (time_ns, seq, fn, args, handle))
+            self._key = key = self._key + 1
+            heappush(self._heap, (time_ns, key, fn, args, handle))
         else:
-            self._bucket.append((fn, args, handle))
+            self._bucket.append((fn, args, handle, self.key))
         return handle
 
     def call_after(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -126,10 +151,10 @@ class Engine:
             raise ValueError(f"cannot schedule in the past: delay {delay_ns}")
         self._live += 1
         if delay_ns:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self.now + delay_ns, seq, fn, args, None))
+            self._key = key = self._key + 1
+            heappush(self._heap, (self.now + delay_ns, key, fn, args, None))
         else:
-            self._bucket.append((fn, args, None))
+            self._bucket.append((fn, args, None, self.key))
 
     def call_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at` (no cancel token)."""
@@ -138,10 +163,57 @@ class Engine:
             raise ValueError(f"cannot schedule in the past: t={time_ns} < now={self.now}")
         self._live += 1
         if time_ns > self.now:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (time_ns, seq, fn, args, None))
+            self._key = key = self._key + 1
+            heappush(self._heap, (time_ns, key, fn, args, None))
         else:
-            self._bucket.append((fn, args, None))
+            self._bucket.append((fn, args, None, self.key))
+
+    def reserve_key(self) -> int:
+        """Consume and return the key an event scheduled now would get.
+
+        A component that replaces an event it would schedule now with a
+        later :meth:`schedule_keyed` call reserves the key here, so the
+        event still sorts exactly where the original would have.
+        """
+        self._key = key = self._key + 1
+        return key
+
+    def key_as_of(self, time_ns: int) -> int:
+        """A fresh key for an event filed as if scheduled at ``time_ns``
+        (a past time): it sorts after every event scheduled at that time
+        through the ordinary calls, and among other such keys of that time
+        in the order they were issued."""
+        self._as_of = n = (self._as_of + 1) & (AS_OF_BIT - 1)
+        return (time_ns << KEY_BITS) | AS_OF_BIT | n
+
+    def schedule_keyed(
+        self, time_ns: int, key: int, fn: Callable[..., Any], *args: Any
+    ) -> EventHandle:
+        """Schedule ``fn(*args)`` at absolute ``time_ns`` with an explicit
+        tie-break ``key`` (from :meth:`reserve_key` or :meth:`key_as_of`).
+
+        The event goes to the heap even at the current timestamp, so it
+        must not sort before the running event (``key > self.key``).
+        """
+        time_ns = int(time_ns)
+        if time_ns < self.now:
+            raise ValueError(f"cannot schedule in the past: t={time_ns} < now={self.now}")
+        handle = EventHandle(self)
+        self._live += 1
+        handle._entry = entry = (time_ns, key, fn, args, handle)
+        heappush(self._heap, entry)
+        return handle
+
+    def withdraw(self, handle: EventHandle) -> None:
+        """Take a pending :meth:`schedule_keyed` event out of the queue.
+
+        Unlike a cancelled event, which stays queued until its time comes,
+        a withdrawn one leaves no trace: the clock never visits its time.
+        """
+        heap = self._heap
+        heap.remove(handle._entry)
+        heapify(heap)
+        handle.cancel()
 
     def pending(self) -> int:
         """Number of queued, not-yet-cancelled events (O(1))."""
@@ -192,6 +264,7 @@ class Engine:
         heap = self._heap
         bucket = self._bucket
         pos = self._pos
+        bucket_key = self.now << KEY_BITS
         events_this_run = 0
         try:
             while True:
@@ -213,6 +286,7 @@ class Engine:
                             )
                         self._live -= 1
                         events_this_run += 1
+                        self.key = entry[1]
                         entry[2](*entry[3])
                         if until is not None and until():
                             return "until"
@@ -232,6 +306,8 @@ class Engine:
                         )
                     self._live -= 1
                     events_this_run += 1
+                    self.key = bucket_key
+                    self.origin = entry[3]
                     entry[0](*entry[1])
                     if until is not None and until():
                         return "until"
@@ -249,6 +325,7 @@ class Engine:
                             f"(now={self.now})"
                         )
                     self.now = time
+                    self._key = bucket_key = time << KEY_BITS
                     if bucket:
                         del bucket[:]
                     pos = 0

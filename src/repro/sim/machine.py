@@ -52,6 +52,12 @@ class Core:
         self.last_thread: SimThread | None = None
         self.idle_thread: SimThread | None = None
         self._busy: dict[str, int] = {}
+        #: the idle thread's quiet nap, if it is taking one (see
+        #: :meth:`repro.sim.scheduler.Marcel.realize_nap`)
+        self._nap = None
+        #: a quiet nap or flag spin whose busy time is billed lazily; its
+        #: ``bill()`` brings the ledger up to the present before a read
+        self._owed = None
 
     def account(self, category: str, ns: int) -> None:
         """Add ``ns`` of busy time under ``category``."""
@@ -60,11 +66,15 @@ class Core:
 
     def busy_ns(self, category: str | None = None) -> int:
         """Total accounted time, optionally restricted to one category."""
+        if self._owed is not None:
+            self._owed.bill()
         if category is None:
             return sum(self._busy.values())
         return self._busy.get(category, 0)
 
     def busy_breakdown(self) -> dict[str, int]:
+        if self._owed is not None:
+            self._owed.bill()
         return dict(self._busy)
 
     def __repr__(self) -> str:
@@ -150,6 +160,9 @@ class Machine:
 
     def shutdown(self) -> None:
         """Stop idle loops so the event queue can drain."""
+        for core in self.cores:
+            if core._nap is not None:
+                self.scheduler.realize_nap(core)
         self.active = False
         for core in self.cores:
             if core.idle_thread is not None and not core.idle_thread.done:

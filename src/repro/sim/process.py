@@ -116,6 +116,25 @@ class Sleep(Effect):
         self.ns = ns
 
 
+class SpinRead(Effect):
+    """Keep the core, re-reading ``flag`` every ``check_ns`` until it is
+    visible to this core; each re-read costs ``check_ns`` of ``poll`` time.
+
+    The flag (e.g. :class:`repro.sim.sync.Completion`) implements
+    ``spin(thread, core, check_ns)``: it bills the re-reads and files one
+    event resuming the thread at the first re-read that sees the flag,
+    instead of one event per re-read.
+    """
+
+    __slots__ = ("flag", "check_ns")
+
+    def __init__(self, flag: Any, check_ns: int) -> None:
+        if check_ns <= 0:
+            raise ValueError(f"SpinRead period must be > 0, got {check_ns}")
+        self.flag = flag
+        self.check_ns = int(check_ns)
+
+
 class WhereAmI(Effect):
     """Resume immediately with the index of the core the thread runs on.
 

@@ -67,7 +67,9 @@ class TaskletEngine:
         self._pending: list[deque[Tasklet]] = [deque() for _ in machine.cores]
         self.scheduled_total = 0
         self.executed_total = 0
-        machine.hooks.register_idle(self._softirq_hook)
+        # armed on a core only while it has queued tasklets, so cores
+        # without deferred work stay quiet (see HookRegistry.quiet)
+        machine.hooks.register_idle(self._softirq_hook, cores=())
         machine.hooks.register_demand(self._demand)
 
     # -- scheduling -----------------------------------------------------------
@@ -94,6 +96,7 @@ class TaskletEngine:
         tasklet.state = TaskletState.SCHEDULED
         self.scheduled_total += 1
         self._pending[core_index].append(tasklet)
+        self.machine.hooks.arm_idle(self._softirq_hook, core_index)
         self.machine.scheduler.poke_idle(core_index)
 
     def pending_count(self, core_index: int | None = None) -> int:
@@ -129,4 +132,5 @@ class TaskletEngine:
                 queue.append(tasklet)
             else:
                 tasklet.state = TaskletState.IDLE
+        self.machine.hooks.disarm_idle(self._softirq_hook, core.index)
         return ran

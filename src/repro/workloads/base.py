@@ -202,10 +202,17 @@ def run_workload(
         )
         for comm in comms
     ]
+    # the stop test runs after every engine event: count finishers instead
+    # of scanning the ranks
+    running = [len(threads)]
+
+    def finished(_thread) -> None:
+        running[0] -= 1
+
+    for t in threads:
+        t.on_finish(finished)
     try:
-        bed.run(
-            until=lambda: all(t.done for t in threads), max_time=max_time_ns
-        )
+        bed.run(until=lambda: not running[0], max_time=max_time_ns)
     except SimTimeLimit:
         pass
     if not all(t.done for t in threads):

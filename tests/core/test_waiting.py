@@ -1,10 +1,12 @@
-"""Unit tests for wait strategies (busy / pioman / passive / fixed-spin)."""
+"""Unit tests for wait strategies (busy / pioman / passive / fixed-spin /
+flag-spin)."""
 
 import pytest
 
 from repro.bench.pingpong import run_pingpong
 from repro.core import BusyWait, FixedSpinWait, PassiveWait, PiomanBusyWait, WaitError
 from repro.core.session import build_testbed
+from repro.core.waiting import FlagSpinWait
 from repro.pioman import attach_pioman
 
 
@@ -174,3 +176,96 @@ class TestFixedSpinWait:
         fixed = lat(lambda: FixedSpinWait(spin_ns=50_000))
         passive = lat(PassiveWait)
         assert fixed < passive
+
+
+class TestFlagSpinWait:
+    """The Fig. 8 waiter re-reads the completion flag every 30 ns while
+    PIOMan polls elsewhere; the wait must end at the first re-read that
+    sees the flag, exactly as a loop of 30 ns re-reads would."""
+
+    CHECK = FlagSpinWait.SPIN_CHECK_NS
+
+    def _spin(self, fire_at, *, fire_core, deferred=False):
+        """Wait on an irecv on core 0 of node A (polling on core 1) that
+        is completed at ``fire_at`` from ``fire_core`` (None: before the
+        wait starts); ``deferred`` fires from a delay-0 event, after every
+        queued event of that instant.
+
+        Returns (spin start, wait end, poll ns and transfer ns charged
+        during the wait)."""
+        bed = bed_with_pioman(poll_cores=[1])
+        machine, lib = bed.machine(0), bed.lib(0)
+        core0 = machine.cores[0]
+        out = {}
+
+        def waiter():
+            req = yield from lib.irecv(1, 5, 8)
+            out["req"] = req
+            out["t0"] = bed.engine.now
+            out["poll0"] = core0.busy_ns("poll")
+            out["transfer0"] = machine.transfer_charged_ns
+            if fire_at is None:
+                fire()
+            yield from lib.wait(req, FlagSpinWait())
+            out["end"] = bed.engine.now
+            out["poll"] = core0.busy_ns("poll") - out["poll0"]
+            out["transfer"] = machine.transfer_charged_ns - out["transfer0"]
+
+        def fire():
+            out["req"].complete(core=fire_core)
+
+        if deferred:
+            bed.engine.call_at(fire_at, bed.engine.call_after, 0, fire)
+        elif fire_at is not None:
+            bed.engine.call_at(fire_at, fire)
+        t = machine.scheduler.spawn(waiter(), name="w", core=0, bound=True)
+        bed.run(until=lambda: t.done)
+        start = out["t0"] + lib.costs.pioman_register_ns
+        return start, out["end"], out["poll"], out["transfer"]
+
+    @pytest.mark.parametrize("fire_core", [None, 0, 1, 2])
+    @pytest.mark.parametrize("offset", [7, 300, 1001])
+    def test_ends_at_first_reread_after_visibility(self, fire_core, offset):
+        start, _, _, _ = self._spin(10_000, fire_core=None)
+        fire_at = start + offset
+        start, end, poll, transfer = self._spin(fire_at, fire_core=fire_core)
+        transfer_ns = 0 if fire_core is None else [0, 400, 1200][fire_core]
+        visible_at = fire_at + transfer_ns
+        rereads = max(1, -(-(visible_at - start) // self.CHECK))
+        assert end == start + rereads * self.CHECK
+        assert end - self.CHECK < visible_at <= end
+        assert poll == rereads * self.CHECK
+        # the cache transfer is attributed once, by the read that sees it
+        assert transfer == transfer_ns
+
+    @pytest.mark.parametrize("rereads", [1, 2, 9])
+    def test_fire_from_outside_on_a_reread_instant(self, rereads):
+        """A fire queued before the re-read of its instant is seen by that
+        re-read; one queued after it waits for the next."""
+        start, _, _, _ = self._spin(10_000, fire_core=None)
+        fire_at = start + rereads * self.CHECK
+        _, end, poll, _ = self._spin(fire_at, fire_core=None)
+        assert end == fire_at
+        assert poll == rereads * self.CHECK
+        _, end, poll, _ = self._spin(fire_at, fire_core=None, deferred=True)
+        assert end == fire_at + self.CHECK
+        assert poll == (rereads + 1) * self.CHECK
+
+    def test_fired_before_the_wait_is_free(self):
+        start, end, poll, transfer = self._spin(None, fire_core=None)
+        assert end == start and poll == 0 and transfer == 0
+
+    def test_requires_pioman(self):
+        bed = build_testbed(policy="none")
+        res = {}
+
+        def waiter():
+            req = yield from bed.lib(0).isend(1, 0, 8)
+            try:
+                yield from bed.lib(0).wait(req, FlagSpinWait())
+            except WaitError:
+                res["raised"] = True
+
+        t = bed.machine(0).scheduler.spawn(waiter(), name="w", core=0)
+        bed.run(until=lambda: t.done)
+        assert res.get("raised")

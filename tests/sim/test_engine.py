@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Engine
+from repro.sim.engine import KEY_BITS, Engine
 from repro.sim.errors import SimDeadlock, SimTimeLimit
 
 
@@ -236,6 +236,78 @@ class TestSameTimeOrdering:
         eng.run()
         assert seen == ["a", "b", "a.2", "b.2", "a.2.1", "b.2.1"]
         assert eng.now == 1
+
+
+class TestKeys:
+    """Events filed late with a key sort as if scheduled when the key says."""
+
+    def test_reserved_key_sorts_where_the_event_was_due(self):
+        eng = Engine()
+        seen = []
+        eng.schedule(10, seen.append, "before")
+        key = eng.reserve_key()
+        eng.schedule(10, seen.append, "after")
+
+        def late():
+            eng.schedule_keyed(10, key, seen.append, "reserved")
+
+        eng.schedule(5, late)
+        eng.run()
+        assert seen == ["before", "reserved", "after"]
+
+    def test_key_as_of_sorts_after_that_times_events(self):
+        eng = Engine()
+        seen = []
+
+        def at_5():
+            # scheduled at t=5 for t=20, ordinary and "as of" t=5
+            eng.schedule(15, seen.append, "ordinary@5")
+
+        def at_12():
+            eng.schedule(8, seen.append, "ordinary@12")
+            eng.schedule_keyed(20, eng.key_as_of(5), seen.append, "as-of-5 #1")
+            eng.schedule_keyed(20, eng.key_as_of(5), seen.append, "as-of-5 #2")
+
+        eng.schedule(5, at_5)
+        eng.schedule(12, at_12)
+        eng.run()
+        assert seen == ["ordinary@5", "as-of-5 #1", "as-of-5 #2", "ordinary@12"]
+
+    def test_running_key_orders_heap_before_bucket(self):
+        eng = Engine()
+        keys = {}
+
+        def heap_event():
+            keys["heap"] = eng.key
+            eng.schedule(0, bucket_event)
+
+        def bucket_event():
+            keys["bucket"] = eng.key
+
+        eng.schedule(7, heap_event)
+        eng.run()
+        assert keys["heap"] < 7 << KEY_BITS <= keys["bucket"]
+
+    def test_withdrawn_event_leaves_no_trace(self):
+        eng = Engine()
+        seen = []
+        late = eng.schedule_keyed(50, eng.key_as_of(0), seen.append, "late")
+        cancelled = eng.schedule(40, seen.append, "cancelled")
+        eng.schedule(10, seen.append, "kept")
+        eng.withdraw(late)
+        cancelled.cancel()
+        assert eng.pending() == 1
+        assert eng.run() == "drained"
+        # a cancelled event still moves the clock to its time; a withdrawn
+        # one does not
+        assert seen == ["kept"] and eng.now == 40
+
+    def test_schedule_keyed_in_the_past_rejected(self):
+        eng = Engine()
+        eng.schedule(10, lambda: None)
+        eng.run()
+        with pytest.raises(ValueError):
+            eng.schedule_keyed(9, eng.key_as_of(5), lambda: None)
 
 
 class TestClockMonotonicity:

@@ -68,6 +68,51 @@ class TestHookRegistry:
         with pytest.raises(ValueError):
             reg.inline_hooks("coffee")
 
+    def test_quiet_cores_follow_registration_and_arming(self):
+        reg = HookRegistry()
+
+        def hook(core):
+            yield Delay(1)
+
+        def softirq(core):
+            yield Delay(1)
+
+        assert reg.quiet(0)
+        reg.register_idle(hook, cores=[1])
+        reg.register_idle(softirq, cores=())
+        assert reg.quiet(0) and not reg.quiet(1)
+        reg.arm_idle(softirq, 0)
+        reg.arm_idle(softirq, 0)  # idempotent
+        assert not reg.quiet(0)
+        reg.disarm_idle(softirq, 0)
+        assert reg.quiet(0)
+        reg.unregister_idle(hook)
+        assert reg.quiet(1)
+        reg.register_idle(hook)  # every core
+        assert not reg.quiet(0) and not reg.quiet(3)
+
+    def test_run_idle_skips_hooks_not_on_the_core(self):
+        reg = HookRegistry()
+        ran = []
+
+        def hook(core):
+            ran.append(core.index)
+            return True
+            yield  # pragma: no cover - generator marker
+
+        reg.register_idle(hook, cores=[1])
+
+        class FakeCore:
+            def __init__(self, index):
+                self.index = index
+
+        for index in (0, 1):
+            gen = reg.run_idle(FakeCore(index))
+            with pytest.raises(StopIteration) as stop:
+                next(gen)
+            assert stop.value.value is (index == 1)
+        assert ran == [1]
+
     def test_demand_empty_false(self):
         assert HookRegistry().idle_demand() is False
 

@@ -484,3 +484,76 @@ class TestSpinDeadlockDetection:
         m.scheduler.spawn(bad(), name="b", core=0)
         with pytest.raises(SimDeadlock):
             eng.run(until=lambda: False, max_time=1_000_000)
+
+
+class TestQuietNaps:
+    """Idle loops on quiet cores take one engine event per nap.  A no-op
+    idle hook on every core makes no core quiet, so every nap runs event
+    by event: the reference.  Whatever happens at whatever instant of a
+    nap — a kick, a thread enqueued on the core, shutdown, a busy-time
+    read, each queued before or after that instant's other events — the
+    two runs must agree on everything the simulation reports."""
+
+    CYCLE = 220  # idle_tick_ns + idle_loop_ns
+
+    @staticmethod
+    def _run(action, at, late, busy_cores):
+        """``busy_cores``: the cores a no-op hook runs on (None: all)."""
+        from repro.sim.trace import Tracer
+
+        eng, m = make_machine()
+        m.attach_tracer(Tracer())
+        m.hooks.register_demand(lambda: True)
+
+        def noop(core):
+            return False
+            yield  # pragma: no cover - generator marker
+
+        m.hooks.register_idle(noop, cores=busy_cores)
+        m.enable_idle_loops()
+        reads = []
+
+        def work():
+            yield Delay(50)
+            return eng.now
+
+        def act():
+            if action == "kick":
+                m.scheduler.poke_idle()
+            elif action == "enqueue":
+                m.scheduler.spawn(work(), name="w", core=2, bound=True)
+            elif action == "shutdown":
+                m.shutdown()
+            reads.append((eng.now, m.utilization()))
+
+        if late:
+            # queued from a delay-0 event: after every heap event of `at`
+            eng.call_at(at, eng.call_after, 0, act)
+        else:
+            eng.call_at(at, act)
+        stop = []
+        eng.call_at(at + 2 * TestQuietNaps.CYCLE + 7, stop.append, 1)
+        eng.run(until=lambda: bool(stop))
+        reads.append((eng.now, m.utilization()))
+        m.shutdown()
+        eng.run()
+        reads.append((eng.now, m.utilization(), m.scheduler.ctx_switches))
+        # a nap's pass records are written by its one event, after other
+        # cores' records of the same instants: compare each core's records
+        per_core: dict = {}
+        for event in m.tracer.events:
+            per_core.setdefault(event.core, []).append(event)
+        return reads, per_core, eng.events_run
+
+    @pytest.mark.parametrize("action", ["kick", "enqueue", "shutdown", "read"])
+    @pytest.mark.parametrize("late", [False, True])
+    @pytest.mark.parametrize("busy_cores", [(), (0, 1)])
+    def test_matches_event_by_event_naps(self, action, late, busy_cores):
+        # the idle loops settle into naps by t=300; cover a whole nap cycle
+        # nanosecond by nanosecond, with every core quiet or with two
+        # cores napping event by event beside the quiet ones
+        for at in range(1_000, 1_000 + self.CYCLE + 3):
+            quiet = self._run(action, at, late, busy_cores)
+            ref = self._run(action, at, late, None)
+            assert quiet[:2] == ref[:2], f"{action} at {at} (late={late})"
+            assert quiet[2] < ref[2]
