@@ -29,7 +29,7 @@ def regenerate(benchmark, name: str):
     )
     results, checks = result
     print()
-    print_figure(results, title=figures.TITLES[name], checks=checks)
+    print_figure(results, title=figures.ARTEFACTS[name].title, checks=checks)
     for claim, measured in checks:
         benchmark.extra_info[claim.claim_id] = round(measured, 3)
     failed = [c.claim_id for c, m in checks if not c.check(m)]

@@ -11,7 +11,7 @@ from repro.analysis.competitive import (
     strategy_cost_ns,
     worst_case_ratio,
 )
-from repro.analysis.decompose import Decomposition, decompose_message, decomposition_table
+from repro.analysis.decompose import Decomposition, decompose_message
 from repro.analysis.fit import OffsetFit, constant_offset, offset_flatness, ratio_series
 from repro.analysis.stats import (
     Summary,
@@ -32,7 +32,6 @@ __all__ = [
     "worst_case_ratio",
     "Decomposition",
     "decompose_message",
-    "decomposition_table",
     "OffsetFit",
     "constant_offset",
     "offset_flatness",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.core.session import TestBed, build_testbed
 from repro.core.waiting import BusyWait
-from repro.util.tables import render_table
 
 STAGES = ("submit", "transit", "detection", "delivery")
 
@@ -43,16 +42,6 @@ class Decomposition:
     @property
     def total(self) -> int:
         return self.submit + self.transit + self.detection + self.delivery
-
-    def as_row(self) -> list:
-        return [
-            self.policy,
-            self.submit,
-            self.transit,
-            self.detection,
-            self.delivery,
-            self.total,
-        ]
 
 
 def decompose_message(
@@ -98,14 +87,4 @@ def decompose_message(
         transit=t["rx_arrived"] - t["injected"],
         detection=t["rx_matched"] - t["rx_arrived"],
         delivery=t["rx_completed"] - t["rx_matched"],
-    )
-
-
-def decomposition_table(size: int = 8, policies=("none", "coarse", "fine")) -> str:
-    """Figure-style table: stage costs per policy for one message size."""
-    rows = [decompose_message(policy, size).as_row() for policy in policies]
-    return render_table(
-        ["policy", "submit", "transit", "detection", "delivery", "total"],
-        rows,
-        title=f"One-way latency decomposition, {size} B message (ns)",
     )

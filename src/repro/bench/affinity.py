@@ -60,9 +60,8 @@ def polling_latency(
     return res.latency_us
 
 
-def run_fig8(cfg: BenchConfig | None = None) -> ResultSet:
+def run_fig8(cfg: BenchConfig) -> ResultSet:
     """Figure 8: polling on CPU 0/1/2/3 of the quad-core Xeon X5460."""
-    cfg = cfg or BenchConfig()
     configs = {
         f"polling on cpu {core}": partial(polling_latency, core, cfg=cfg)
         for core in range(4)
@@ -70,13 +69,12 @@ def run_fig8(cfg: BenchConfig | None = None) -> ResultSet:
     return run_sweep("fig8", configs, cfg)
 
 
-def run_fig8b(cfg: BenchConfig | None = None) -> ResultSet:
+def run_fig8b(cfg: BenchConfig) -> ResultSet:
     """§4.1 in-text: the same experiment on the dual quad-core node.
 
     CPU 1 shares a cache with CPU 0, CPUs 2-3 share the chip only, CPUs
     4-7 sit on the other chip; one representative of each tier is enough.
     """
-    cfg = cfg or BenchConfig()
     configs = {
         f"polling on cpu {core}": partial(
             polling_latency, core, cfg=cfg, topology_factory=dual_quad_xeon
@@ -84,20 +82,6 @@ def run_fig8b(cfg: BenchConfig | None = None) -> ResultSet:
         for core in (0, 1, 2, 4)
     }
     return run_sweep("fig8b", configs, cfg)
-
-
-def affinity_deltas(results: ResultSet) -> dict[str, float]:
-    """Per-core latency deltas (ns) over the polling-on-cpu-0 baseline,
-    averaged across sizes."""
-    base = dict(results.series("polling on cpu 0"))
-    out: dict[str, float] = {}
-    for config in results.configs():
-        if config == "polling on cpu 0":
-            continue
-        series = dict(results.series(config))
-        diffs = [series[s] - base[s] for s in series if s in base]
-        out[config] = sum(diffs) / len(diffs) * 1_000  # us -> ns
-    return out
 
 
 # ---------------------------------------------------------------- §3.3 (E8)
@@ -159,3 +143,18 @@ def dedicated_core_loss(**kw) -> float:
     if full == 0:
         raise RuntimeError("compute loop made no progress")
     return (full - reduced) / full
+
+
+def dedicated_core_point(size: int, duration_ns: int) -> float:
+    """:func:`dedicated_core_loss` as a size-less grid point."""
+    return dedicated_core_loss(duration_ns=duration_ns)
+
+
+def run_dedicated_core(duration_ns: int = 2_000_000) -> ResultSet:
+    """§3.3 text: the compute throughput lost to a dedicated polling core."""
+    return run_sweep(
+        "dedicated-core",
+        {"throughput loss": partial(dedicated_core_point, duration_ns=duration_ns)},
+        BenchConfig(sizes=(0,)),
+        extra=lambda name, size: {"unit": "fraction"},
+    )

@@ -1,6 +1,9 @@
 """One entry point per paper artefact: regenerate any figure's data.
 
-Each ``fig*``/``text_*`` function measures, evaluates the paper claims and
+Each artefact is one row of :data:`ARTEFACTS`: a title and a grid, a
+``run_sweep`` over module-level point functions.  Its claims are the
+:mod:`repro.bench.paper` entries that name it, each measured by its own
+statistic (:func:`repro.bench.paper.evaluate`).  ``FIGURES[name](quick)``
 returns ``(ResultSet, checks)``; :func:`render` prints the figure-style
 table plus verdicts.  Command line::
 
@@ -20,16 +23,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
-from repro.analysis.fit import constant_offset
+from repro.analysis.decompose import STAGES, decompose_message
 from repro.bench import affinity, lockcost, locking, overlap, waiting
 from repro.bench.config import OVERLAP_SIZES, PAPER_SIZES, BenchConfig
-from repro.bench.paper import PaperClaim, claim
+from repro.bench.paper import PaperClaim, evaluate
 from repro.bench.report import print_figure
-from repro.bench.runner import execution
-from repro.util.records import ResultRecord, ResultSet
+from repro.bench.runner import execution, run_sweep
+from repro.util.records import ResultSet
 
 FigureResult = tuple[ResultSet, list[tuple[PaperClaim, float]]]
 
@@ -53,216 +56,100 @@ def _cfg(quick: bool, sizes=PAPER_SIZES) -> BenchConfig:
     )
 
 
-def fig3(quick: bool = False) -> FigureResult:
-    """Figure 3: impact of locking on latency."""
-    results = locking.run_fig3(_cfg(quick))
-    offsets = locking.fig3_offsets(results)
-    coarse_fit = constant_offset(results.series("none"), results.series("coarse"))
-    checks = [
-        (claim("fig3-coarse-offset"), offsets["coarse"]),
-        (claim("fig3-fine-offset"), offsets["fine"]),
-        (claim("fig3-offset-flat"), coarse_fit.spread_ns * 1_000),
-    ]
-    return results, checks
+def decompose_point(policy: str, stage: str, size: int) -> float:
+    """One stage (us) of one message's one-way latency under ``policy``."""
+    return getattr(decompose_message(policy, size), stage) / 1_000
 
 
-def fig5(quick: bool = False) -> FigureResult:
-    """Figure 5: concurrent pingpongs.
-
-    The paper's claims are evaluated at the node's saturation flow count
-    (see :data:`repro.bench.locking.FIG5_SATURATION_FLOWS`): the simulated
-    MX path has about twice the message capacity of the 2009 stack, so the
-    two-thread saturation of the paper appears at four flows here.
-    """
-    results = locking.run_fig5(_cfg(quick))
-    ratios = locking.fig5_ratios(results)
-    sat = locking.FIG5_SATURATION_FLOWS
-
-    def mean_ratio(config: str) -> float:
-        vals = [r for _, r in ratios[config]]
-        return sum(vals) / len(vals)
-
-    coarse_ratio = mean_ratio(f"coarse ({sat} threads)")
-    fine_ratio = mean_ratio(f"fine ({sat} threads)")
-    checks = [
-        (claim("fig5-coarse-ratio"), coarse_ratio),
-        (claim("fig5-fine-better"), fine_ratio / coarse_ratio),
-    ]
-    return results, checks
-
-
-def fig6(quick: bool = False) -> FigureResult:
-    """Figure 6: impact of PIOMan on latency."""
-    results = waiting.run_fig6(_cfg(quick))
-    fit = constant_offset(results.series("fine"), results.series("pioman (fine)"))
-    checks = [(claim("fig6-pioman-offset"), fit.offset_ns * 1_000)]
-    return results, checks
-
-
-def fig7(quick: bool = False) -> FigureResult:
-    """Figure 7: impact of semaphores (passive waiting) on latency."""
-    results = waiting.run_fig7(_cfg(quick))
-    fit = constant_offset(
-        results.series("active (fine)"), results.series("passive (fine)")
-    )
-    checks = [(claim("fig7-passive-offset"), fit.offset_ns * 1_000)]
-    return results, checks
-
-
-def fig8(quick: bool = False) -> FigureResult:
-    """Figure 8: impact of cache affinity on a quad-core chip."""
-    results = affinity.run_fig8(_cfg(quick))
-    deltas = affinity.affinity_deltas(results)
-    far = (deltas["polling on cpu 2"] + deltas["polling on cpu 3"]) / 2
-    checks = [
-        (claim("fig8-shared-l2"), deltas["polling on cpu 1"]),
-        (claim("fig8-no-shared-cache"), far),
-    ]
-    return results, checks
-
-
-def fig8b(quick: bool = False) -> FigureResult:
-    """§4.1 in-text: cache affinity on the dual quad-core node."""
-    results = affinity.run_fig8b(_cfg(quick))
-    deltas = affinity.affinity_deltas(results)
-    checks = [
-        (claim("fig8b-shared-l2"), deltas["polling on cpu 1"]),
-        (claim("fig8b-same-chip"), deltas["polling on cpu 2"]),
-        (claim("fig8b-other-chip"), deltas["polling on cpu 4"]),
-    ]
-    return results, checks
-
-
-def fig9(quick: bool = False) -> FigureResult:
-    """Figure 9: impact of tasklets on deferred message submission."""
-    cfg = _cfg(quick, sizes=OVERLAP_SIZES)
-    results = overlap.run_fig9(cfg)
-    ref = results.series("reference")
-    tasklet_fit = constant_offset(ref, results.series("tasklets"))
-    idle_fit = constant_offset(ref, results.series("no tasklets"))
-    checks = [
-        (claim("fig9-tasklet-offset"), tasklet_fit.offset_ns * 1_000),
-        (claim("fig9-idlecore-offset"), idle_fit.offset_ns * 1_000),
-    ]
-    return results, checks
-
-
-def text_lockcost(quick: bool = False) -> FigureResult:
-    """§3.1 text: the 70 ns spinlock cycle and per-message lock counts."""
-    cycles = 100 if quick else 1_000
-    cycle_ns = lockcost.measure_spin_cycle_ns(cycles)
-    results = ResultSet()
-    results.add(ResultRecord("lockcost", "spin cycle", 0, cycle_ns / 1_000))
-    for policy in ("none", "coarse", "fine"):
-        per_msg = lockcost.lock_cycles_per_message(policy)
-        results.add(
-            ResultRecord(
-                "lockcost", f"cycles/msg ({policy})", 0, per_msg,
-                extra={"unit": "acquisitions"},
-            )
-        )
-    checks = [(claim("text-spin-cycle"), cycle_ns)]
-    return results, checks
-
-
-def text_dedicated_core(quick: bool = False) -> FigureResult:
-    """§3.3 text: dedicating 1 of 4 cores costs up to 25 % of compute."""
-    duration = 500_000 if quick else 2_000_000
-    loss = affinity.dedicated_core_loss(duration_ns=duration)
-    results = ResultSet()
-    results.add(
-        ResultRecord("dedicated-core", "throughput loss", 0, loss, extra={"unit": "fraction"})
-    )
-    checks = [(claim("text-dedicated-core"), loss)]
-    return results, checks
-
-
-def text_fixed_spin(quick: bool = False) -> FigureResult:
-    """§3.3 text: the fixed-spin algorithm avoids switches for fast events."""
-    iters = 6 if quick else 12
-    results = waiting.run_fixed_spin_sweep(iterations=iters)
-    # events arrive at 8 us: compare spin=20us (always spins through the
-    # event) with spin=10us (also covers it) — they should agree with the
-    # active-wait floor, unlike spin=0 (pure passive)
-    active_like = results.point("fixed-spin wait", 20_000)
-    pure_passive = results.point("fixed-spin wait", 0)
-    checks = [
-        (claim("text-fixed-spin"), (active_like - pure_passive) * 1_000),
-    ]
-    return results, checks
-
-
-def decompose(quick: bool = False) -> FigureResult:
+def run_decompose(sizes: tuple[int, ...] = (8, 2048)) -> ResultSet:
     """Extension: one-way latency decomposition per policy (§1's method:
     'decomposing each step of thread support')."""
-    from repro.analysis.decompose import decompose_message
-
-    results = ResultSet()
-    sizes = (8,) if quick else (8, 2048)
-    for policy in ("none", "coarse", "fine"):
-        for size in sizes:
-            d = decompose_message(policy, size)
-            for stage in ("submit", "transit", "detection", "delivery"):
-                results.add(
-                    ResultRecord(
-                        "decompose",
-                        f"{policy}/{stage}",
-                        size,
-                        getattr(d, stage) / 1_000,
-                        extra={"unit": "us"},
-                    )
-                )
-    return results, []
+    configs = {
+        f"{policy}/{stage}": partial(decompose_point, policy, stage)
+        for policy in ("none", "coarse", "fine")
+        for stage in STAGES
+    }
+    return run_sweep(
+        "decompose",
+        configs,
+        BenchConfig(sizes=sizes),
+        extra=lambda name, size: {"unit": "us"},
+    )
 
 
-def _entry(
-    figure: Callable[[bool], FigureResult],
-) -> Callable[..., FigureResult]:
-    """Wrap a figure as an entry point that installs the execution
-    settings (worker count, cache switch) around it."""
+class Artefact(NamedTuple):
+    """One paper artefact: its report title and its grid for ``quick``."""
 
-    @functools.wraps(figure)
-    def run(
-        quick: bool = False,
-        *,
-        workers: int | None = None,
-        cache: bool | None = None,
-    ) -> FigureResult:
-        with execution(workers=workers, cache=cache):
-            return figure(quick)
+    title: str
+    grid: Callable[[bool], ResultSet]
 
-    return run
+
+ARTEFACTS: dict[str, Artefact] = {
+    "fig3": Artefact(
+        "Figure 3 — Impact of locking on latency (us)",
+        lambda quick: locking.run_fig3(_cfg(quick)),
+    ),
+    "fig5": Artefact(
+        "Figure 5 — Two concurrent pingpongs (us)",
+        lambda quick: locking.run_fig5(_cfg(quick)),
+    ),
+    "fig6": Artefact(
+        "Figure 6 — Impact of PIOMan on latency (us)",
+        lambda quick: waiting.run_fig6(_cfg(quick)),
+    ),
+    "fig7": Artefact(
+        "Figure 7 — Impact of semaphores on latency (us)",
+        lambda quick: waiting.run_fig7(_cfg(quick)),
+    ),
+    "fig8": Artefact(
+        "Figure 8 — Impact of cache affinity, quad-core (us)",
+        lambda quick: affinity.run_fig8(_cfg(quick)),
+    ),
+    "fig8b": Artefact(
+        "§4.1 — Cache affinity, dual quad-core (us)",
+        lambda quick: affinity.run_fig8b(_cfg(quick)),
+    ),
+    "fig9": Artefact(
+        "Figure 9 — Impact of tasklets on deferred submission (us)",
+        lambda quick: overlap.run_fig9(_cfg(quick, sizes=OVERLAP_SIZES)),
+    ),
+    "lockcost": Artefact(
+        "§3.1 — Spinlock cycle cost and per-message lock traffic",
+        lambda quick: lockcost.run_lockcost(),
+    ),
+    "dedicated-core": Artefact(
+        "§3.3 — Compute loss from a dedicated polling core",
+        lambda quick: affinity.run_dedicated_core(
+            duration_ns=500_000 if quick else 2_000_000
+        ),
+    ),
+    "fixed-spin": Artefact(
+        "§3.3 — Fixed-spin wait latency vs. spin threshold (us)",
+        lambda quick: waiting.run_fixed_spin_sweep(iterations=6 if quick else 12),
+    ),
+    "decompose": Artefact(
+        "Extension — One-way latency decomposition by stage (us)",
+        lambda quick: run_decompose(sizes=(8,) if quick else (8, 2048)),
+    ),
+}
+
+
+def run_artefact(
+    name: str,
+    quick: bool = False,
+    *,
+    workers: int | None = None,
+    cache: bool | None = None,
+) -> FigureResult:
+    """Measure one artefact's grid under the execution settings and
+    evaluate its claims."""
+    with execution(workers=workers, cache=cache):
+        results = ARTEFACTS[name].grid(quick)
+    return results, evaluate(name, results)
 
 
 FIGURES: dict[str, Callable[..., FigureResult]] = {
-    name: _entry(figure)
-    for name, figure in {
-        "fig3": fig3,
-        "fig5": fig5,
-        "fig6": fig6,
-        "fig7": fig7,
-        "fig8": fig8,
-        "fig8b": fig8b,
-        "fig9": fig9,
-        "lockcost": text_lockcost,
-        "dedicated-core": text_dedicated_core,
-        "fixed-spin": text_fixed_spin,
-        "decompose": decompose,
-    }.items()
-}
-
-TITLES = {
-    "fig3": "Figure 3 — Impact of locking on latency (us)",
-    "fig5": "Figure 5 — Two concurrent pingpongs (us)",
-    "fig6": "Figure 6 — Impact of PIOMan on latency (us)",
-    "fig7": "Figure 7 — Impact of semaphores on latency (us)",
-    "fig8": "Figure 8 — Impact of cache affinity, quad-core (us)",
-    "fig8b": "§4.1 — Cache affinity, dual quad-core (us)",
-    "fig9": "Figure 9 — Impact of tasklets on deferred submission (us)",
-    "lockcost": "§3.1 — Spinlock cycle cost and per-message lock traffic",
-    "dedicated-core": "§3.3 — Compute loss from a dedicated polling core",
-    "fixed-spin": "§3.3 — Fixed-spin wait latency vs. spin threshold (us)",
-    "decompose": "Extension — One-way latency decomposition by stage (us)",
+    name: partial(run_artefact, name) for name in ARTEFACTS
 }
 
 
@@ -310,7 +197,9 @@ def render(
         cache_delta=point_cache.stats().delta(cache_before),
         pool_delta=parallel.pool_stats_delta(pool_before),
     )
-    text = print_figure(results, title=TITLES[name], checks=checks, note=note)
+    text = print_figure(
+        results, title=ARTEFACTS[name].title, checks=checks, note=note
+    )
     if observation is not None:
         extra_parts = []
         if metrics:

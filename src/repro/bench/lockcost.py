@@ -8,8 +8,13 @@ message under each policy.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.bench.config import BenchConfig
+from repro.bench.runner import run_sweep
 from repro.core.session import build_testbed
 from repro.sim import Acquire, Delay, Engine, Machine, Release, SpinLock, quad_xeon_x5460
+from repro.util.records import ResultSet
 
 
 def measure_spin_cycle_ns(cycles: int = 1_000) -> float:
@@ -93,3 +98,27 @@ def lock_cycles_per_message(policy: str) -> float:
         for lock in lib.policy.lock_objects()
     )
     return float(acquisitions)
+
+
+def spin_cycle_point(size: int) -> float:
+    """The spin cycle in us; ``size`` is the size-less grid's 0."""
+    return measure_spin_cycle_ns() / 1_000
+
+
+def lock_cycles_point(policy: str, size: int) -> float:
+    """:func:`lock_cycles_per_message` as a size-less grid point."""
+    return lock_cycles_per_message(policy)
+
+
+def run_lockcost() -> ResultSet:
+    """§3.1 text: the spinlock cycle (us) and each policy's acquisitions
+    per message, one size-less grid."""
+    configs = {"spin cycle": spin_cycle_point}
+    for policy in ("none", "coarse", "fine"):
+        configs[f"cycles/msg ({policy})"] = partial(lock_cycles_point, policy)
+    return run_sweep(
+        "lockcost",
+        configs,
+        BenchConfig(sizes=(0,)),
+        extra=lambda name, size: {} if name == "spin cycle" else {"unit": "acquisitions"},
+    )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.analysis.fit import constant_offset, ratio_series
 from repro.bench.config import BenchConfig
 from repro.bench.pingpong import run_concurrent_pingpong, run_pingpong
 from repro.bench.runner import run_sweep
@@ -28,24 +27,13 @@ def fig3_point(policy: str, size: int, cfg: BenchConfig) -> float:
     return res.latency_us
 
 
-def run_fig3(cfg: BenchConfig | None = None) -> ResultSet:
+def run_fig3(cfg: BenchConfig) -> ResultSet:
     """Figure 3: impact of locking on latency (1 B – 2 KB)."""
-    cfg = cfg or BenchConfig()
     return run_sweep(
         "fig3",
         {p: partial(fig3_point, p, cfg=cfg) for p in FIG3_POLICIES},
         cfg,
     )
-
-
-def fig3_offsets(results: ResultSet) -> dict[str, float]:
-    """Per-policy constant offsets over the no-locking baseline, in ns."""
-    base = results.series("none")
-    out = {}
-    for policy in ("coarse", "fine"):
-        fit = constant_offset(base, results.series(policy))
-        out[policy] = fit.offset_ns * 1_000  # series are in us
-    return out
 
 
 #: flow count at which the simulated node reaches the message-rate
@@ -89,31 +77,16 @@ def _fig5_extra(name: str, size: int) -> dict:
     return {"nflows": int(name.split("(", 1)[1].split()[0])}
 
 
-def run_fig5(
-    cfg: BenchConfig | None = None, *, flow_counts: tuple[int, ...] = (2, FIG5_SATURATION_FLOWS)
-) -> ResultSet:
+def run_fig5(cfg: BenchConfig) -> ResultSet:
     """Figure 5: threads perform pingpongs concurrently.
 
     Series: the single-thread baseline (``1 thread``) plus the mean
     per-flow latency under coarse and fine locking for each flow count.
     """
-    cfg = cfg or BenchConfig()
     configs = {"1 thread": partial(fig5_single_point, cfg=cfg)}
     for policy in ("coarse", "fine"):
-        for nflows in flow_counts:
+        for nflows in (2, FIG5_SATURATION_FLOWS):
             configs[f"{policy} ({nflows} threads)"] = partial(
                 fig5_concurrent_point, policy, nflows, cfg=cfg
             )
     return run_sweep("fig5", configs, cfg, extra=_fig5_extra)
-
-
-def fig5_ratios(results: ResultSet) -> dict[str, list[tuple[int, float]]]:
-    """Per-size latency ratios of each concurrent series over the
-    single-thread baseline — the paper's 'roughly twice' claim."""
-    base = results.series("1 thread")
-    out = {}
-    for config in results.configs():
-        if config == "1 thread":
-            continue
-        out[config] = ratio_series(base, results.series(config))
-    return out

@@ -54,12 +54,11 @@ def _latency(
     return res.latency_us
 
 
-def run_fig6(cfg: BenchConfig | None = None) -> ResultSet:
+def run_fig6(cfg: BenchConfig) -> ResultSet:
     """Figure 6: impact of PIOMan on latency.
 
     Four series: {coarse, fine} × {direct busy wait, PIOMan busy wait}.
     """
-    cfg = cfg or BenchConfig()
     configs = {}
     for policy in ("coarse", "fine"):
         configs[f"{policy}"] = partial(
@@ -71,9 +70,8 @@ def run_fig6(cfg: BenchConfig | None = None) -> ResultSet:
     return run_sweep("fig6", configs, cfg)
 
 
-def run_fig7(cfg: BenchConfig | None = None) -> ResultSet:
+def run_fig7(cfg: BenchConfig) -> ResultSet:
     """Figure 7: impact of semaphores (active vs. passive waiting)."""
-    cfg = cfg or BenchConfig()
     configs = {}
     for policy in ("coarse", "fine"):
         configs[f"active ({policy})"] = partial(

@@ -127,8 +127,13 @@ class ResultSet:
         return sorted({r.size for r in self._records})
 
     def series(self, config: str) -> list[tuple[int, float]]:
-        """``(size, latency_us)`` points of one figure series, size-sorted."""
+        """``(size, latency_us)`` points of one figure series, size-sorted.
+
+        Raises :class:`KeyError` when no record has ``config``.
+        """
         pts = [(r.size, r.latency_us) for r in self._records if r.config == config]
+        if not pts:
+            raise KeyError(f"no config {config!r}")
         return sorted(pts)
 
     def missing_points(self) -> list[tuple[str, int]]:

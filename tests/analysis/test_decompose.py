@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.analysis.decompose import (
-    STAGES,
-    Decomposition,
-    decompose_message,
-    decomposition_table,
-)
+from repro.analysis.decompose import STAGES, decompose_message
+from repro.bench.figures import run_decompose
 from repro.net.drivers.mx import MX_MODEL
 
 
@@ -62,14 +58,14 @@ class TestDecomposeMessage:
         assert d.total == pytest.approx(lat, rel=0.25)
 
 
-class TestTable:
-    def test_table_renders_all_policies(self):
-        text = decomposition_table(8)
-        for policy in ("none", "coarse", "fine"):
-            assert policy in text
+class TestGrid:
+    def test_grid_covers_every_policy_and_stage(self):
+        rs = run_decompose((8,))
+        assert rs.configs() == [
+            f"{policy}/{stage}"
+            for policy in ("none", "coarse", "fine")
+            for stage in STAGES
+        ]
+        d = decompose_message("fine", 8)
         for stage in STAGES:
-            assert stage in text
-
-    def test_dataclass_row(self):
-        d = Decomposition("x", 8, 1, 2, 3, 4)
-        assert d.as_row() == ["x", 1, 2, 3, 4, 10]
+            assert rs.point(f"fine/{stage}", 8) == getattr(d, stage) / 1_000

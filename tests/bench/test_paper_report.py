@@ -1,10 +1,28 @@
 """Unit tests for the paper-claim registry and report rendering."""
 
+from functools import partial
+
 import pytest
 
-from repro.bench.paper import CLAIMS, PaperClaim, claim
+from repro.bench import figures
+from repro.bench.paper import (
+    CLAIMS,
+    PaperClaim,
+    claim,
+    evaluate,
+    mean_delta,
+    offset,
+    point,
+)
 from repro.bench.report import figure_table, print_figure, verdict_block
 from repro.util.records import ResultRecord, ResultSet
+
+
+def bogus_claim(statistic=partial(point, "none", 1, 1), expected=0, tolerance=1):
+    return PaperClaim(
+        "bogus", "Fig", "d", expected=expected, tolerance=tolerance,
+        artefact="sample", statistic=statistic,
+    )
 
 
 class TestClaims:
@@ -15,13 +33,13 @@ class TestClaims:
             assert any(figure in e for e in experiments), figure
 
     def test_check_inside_tolerance(self):
-        c = PaperClaim("x", "Fig", "d", expected=100, tolerance=10)
+        c = bogus_claim(expected=100, tolerance=10)
         assert c.check(105)
         assert c.check(90)
         assert not c.check(111)
 
     def test_verdict_strings(self):
-        c = PaperClaim("x", "Fig", "d", expected=100, tolerance=10)
+        c = bogus_claim(expected=100, tolerance=10)
         assert c.verdict(100).startswith("[OK ]")
         assert c.verdict(500).startswith("[OFF]")
 
@@ -111,3 +129,42 @@ class TestReport:
         text = print_figure(sample_results(), title="T")
         out = capsys.readouterr().out
         assert text in out
+
+
+class TestClaimStatistics:
+    """A statistic that names a config or size its grid lacks fails
+    loudly, naming the claim and the missing piece."""
+
+    @pytest.mark.parametrize(
+        "statistic, missing",
+        [
+            (partial(offset, "none", "nonsense"), "'nonsense'"),
+            (partial(mean_delta, "none", ("coarse", "nonsense")), "'nonsense'"),
+            (partial(point, "coarse", 64, 1), "('coarse', 64)"),
+        ],
+    )
+    def test_missing_config_or_size_names_the_claim(
+        self, monkeypatch, statistic, missing
+    ):
+        monkeypatch.setitem(CLAIMS, "bogus", bogus_claim(statistic))
+        with pytest.raises(KeyError) as err:
+            evaluate("sample", sample_results())
+        assert "claim 'bogus' on 'sample'" in err.value.args[0]
+        assert missing in err.value.args[0]
+
+    def test_bogus_claim_fails_its_artefact(self, monkeypatch):
+        bogus = PaperClaim(
+            "bogus", "§3.1", "d", expected=0, tolerance=1, artefact="lockcost",
+            statistic=partial(point, "spin cycles", 0, 1_000),
+        )
+        monkeypatch.setitem(CLAIMS, "bogus", bogus)
+        with pytest.raises(KeyError, match="claim 'bogus' on 'lockcost'.*'spin cycles'"):
+            figures.FIGURES["lockcost"](True)
+
+    def test_claims_evaluate_in_registry_order(self):
+        rs = sample_results()
+        rs.extend(ResultRecord("fig3", "fine", s, 3.3) for s in (1, 1024))
+        assert [c.claim_id for c, _ in evaluate("fig3", rs)] == [
+            "fig3-coarse-offset", "fig3-fine-offset", "fig3-offset-flat",
+        ]
+        assert evaluate("decompose", rs) == []

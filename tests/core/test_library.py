@@ -184,10 +184,15 @@ class TestPolicyOverheadCalibration:
     def offsets(sizes=(1, 64, 1024)):
         from repro.bench import locking
         from repro.bench.config import BenchConfig
+        from repro.bench.paper import claim
 
         cfg = BenchConfig(iterations=32, warmup=4, sizes=sizes, jitter_ns=150)
         results = locking.run_fig3(cfg)
-        return locking.fig3_offsets(results), results
+        offsets = {
+            policy: claim(f"fig3-{policy}-offset").statistic(results)
+            for policy in ("coarse", "fine")
+        }
+        return offsets, results
 
     def test_offsets_match_paper(self):
         offsets, _ = self.offsets()

@@ -9,10 +9,6 @@ from repro.bench import cache as bench_cache
 from repro.bench import figures
 
 
-#: figures computed outside ``run_sweep``, so never cached
-UNCACHED = {"lockcost", "dedicated-core", "decompose"}
-
-
 @pytest.mark.parametrize("name", sorted(figures.FIGURES))
 def test_figure_claims_hold_quick(name, monkeypatch):
     """Each figure's claims hold, and a warm re-run against the (per-test)
@@ -33,7 +29,7 @@ def test_figure_claims_hold_quick(name, monkeypatch):
     warm_results, warm_checks = figures.FIGURES[name](True)
     cold = middle.delta(start)
     warm = bench_cache.stats().delta(middle)
-    assert cold.misses == cold.stores == (0 if name in UNCACHED else len(results))
+    assert cold.misses == cold.stores == len(results)
     assert warm.misses == 0
     assert warm.hits == cold.misses
     assert warm_results.to_json() == results.to_json()
@@ -56,7 +52,3 @@ def test_main_cli(capsys):
     assert figures.main(["lockcost", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "§3.1" in out or "spin" in out.lower()
-
-
-def test_titles_cover_all_figures():
-    assert set(figures.TITLES) == set(figures.FIGURES)

@@ -58,6 +58,10 @@ class TestResultSet:
         with pytest.raises(KeyError):
             ResultSet().point("c", 8)
 
+    def test_series_missing(self):
+        with pytest.raises(KeyError, match="no config 'c'"):
+            ResultSet([rec(config="other")]).series("c")
+
     def test_point_ambiguous(self):
         rs = ResultSet([rec(config="c", size=8), rec(config="c", size=8)])
         with pytest.raises(ValueError):
