@@ -11,9 +11,9 @@ by an integer *key*, ``(scheduling time << KEY_BITS) + n`` with ``n`` the
 order of scheduling within that timestamp.  Events are scheduled in time
 order, so the key is plain insertion order for every ordinary event; it
 exists so that a component that skips simulating work can file an event
-*as of* the time the skipped code would have scheduled it
-(:meth:`Engine.key_as_of`, :meth:`Engine.schedule_keyed`) and still sort
-among same-timestamp events as that code's event would have.
+*as of* the instant the skipped code would have scheduled it
+(:meth:`Engine.file_as_of`), and ask whether such an event would have run
+yet (:meth:`Engine.ran`).  The key layout is private to this module.
 
 Queue layout (the hot path of the whole simulator):
 
@@ -29,8 +29,7 @@ Queue layout (the hot path of the whole simulator):
   — the scheduler/NIC/PIOMan fast path for the dominant short fixed-delay
   events) carry no :class:`EventHandle` at all: the old per-event handle
   allocation is gone, and the cancel token survives only on the
-  user-facing :meth:`schedule`/:meth:`schedule_at` API, shrunk to a
-  two-slot object.
+  user-facing :meth:`schedule` API, shrunk to a two-slot object.
 """
 
 from __future__ import annotations
@@ -41,8 +40,9 @@ from typing import Any, Callable
 from repro.sim.errors import SimDeadlock, SimTimeLimit
 
 #: low bits of an event key: the order of scheduling within one timestamp.
-#: Ordinary events count up from 1; keys filed "as of" a past time use the
-#: upper half (``AS_OF_BIT``), after every ordinary event of that time.
+#: Ordinary events count up from 1; events filed as of a skipped instant
+#: without a reserved key use the upper half (``AS_OF_BIT``), after every
+#: ordinary event of that instant.
 KEY_BITS = 20
 AS_OF_BIT = 1 << (KEY_BITS - 1)
 
@@ -92,16 +92,16 @@ class Engine:
         self._pos = 0
         #: last key issued; reset to ``now << KEY_BITS`` when the clock moves
         self._key = 0
-        #: counter behind :meth:`key_as_of`
+        #: order among the events filed as of one instant (:meth:`file_as_of`)
         self._as_of = 0
         #: key of the running event.  A now-bucket event gets
         #: ``now << KEY_BITS``: it runs after every heap event of this
         #: timestamp, all of which were scheduled earlier.
-        self.key = 0
+        self._current = 0
         #: key of the event that queued the running now-bucket event (the
         #: bucket runs in this order); ``now << KEY_BITS`` if that event
         #: was itself a bucket event
-        self.origin = 0
+        self._origin = 0
         #: scheduled, not-yet-run, not-cancelled events (O(1) pending())
         self._live = 0
         self._events_run = 0
@@ -120,21 +120,7 @@ class Engine:
             self._key = key = self._key + 1
             heappush(self._heap, (self.now + delay_ns, key, fn, args, handle))
         else:
-            self._bucket.append((fn, args, handle, self.key))
-        return handle
-
-    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` at absolute time ``time_ns``."""
-        time_ns = int(time_ns)
-        if time_ns < self.now:
-            raise ValueError(f"cannot schedule in the past: t={time_ns} < now={self.now}")
-        handle = EventHandle(self)
-        self._live += 1
-        if time_ns > self.now:
-            self._key = key = self._key + 1
-            heappush(self._heap, (time_ns, key, fn, args, handle))
-        else:
-            self._bucket.append((fn, args, handle, self.key))
+            self._bucket.append((fn, args, handle, self._current))
         return handle
 
     def call_after(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -154,10 +140,11 @@ class Engine:
             self._key = key = self._key + 1
             heappush(self._heap, (self.now + delay_ns, key, fn, args, None))
         else:
-            self._bucket.append((fn, args, None, self.key))
+            self._bucket.append((fn, args, None, self._current))
 
     def call_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at` (no cancel token)."""
+        """Fire-and-forget :meth:`schedule` at absolute time ``time_ns``
+        (no cancel token)."""
         time_ns = int(time_ns)
         if time_ns < self.now:
             raise ValueError(f"cannot schedule in the past: t={time_ns} < now={self.now}")
@@ -166,46 +153,70 @@ class Engine:
             self._key = key = self._key + 1
             heappush(self._heap, (time_ns, key, fn, args, None))
         else:
-            self._bucket.append((fn, args, None, self.key))
+            self._bucket.append((fn, args, None, self._current))
 
     def reserve_key(self) -> int:
         """Consume and return the key an event scheduled now would get.
 
-        A component that replaces an event it would schedule now with a
-        later :meth:`schedule_keyed` call reserves the key here, so the
-        event still sorts exactly where the original would have.
+        Code that skips an event it would schedule now reserves its key
+        here for :meth:`ran` and :meth:`file_as_of`.
         """
         self._key = key = self._key + 1
         return key
 
-    def key_as_of(self, time_ns: int) -> int:
-        """A fresh key for an event filed as if scheduled at ``time_ns``
-        (a past time): it sorts after every event scheduled at that time
-        through the ordinary calls, and among other such keys of that time
-        in the order they were issued."""
-        self._as_of = n = (self._as_of + 1) & (AS_OF_BIT - 1)
-        return (time_ns << KEY_BITS) | AS_OF_BIT | n
+    def ran(self, time_ns: int, since: int, key: int | None, queued: bool = False) -> bool:
+        """Has the event at ``time_ns`` scheduled at instant ``since`` run
+        by now — or, with ``queued``, the now-bucket entry it queued?
 
-    def schedule_keyed(
-        self, time_ns: int, key: int, fn: Callable[..., Any], *args: Any
+        ``key`` is the event's key if it was reserved (:meth:`reserve_key`)
+        at ``since``; ``None`` stands for the place right after every
+        ordinary event scheduled at ``since``.  The running event itself
+        counts as not run.
+        """
+        now = self.now
+        if time_ns != now:
+            return time_ns < now
+        if key is None:
+            key = since << KEY_BITS | AS_OF_BIT
+        current = self._current
+        if current < now << KEY_BITS:
+            # a heap event runs: the now bucket is still ahead
+            return not queued and current > key
+        return not queued or self._origin > key
+
+    def file_as_of(
+        self, time_ns: int, since: int, key: int | None, fn: Callable[..., Any],
+        args: tuple = (), queued: bool = False,
     ) -> EventHandle:
-        """Schedule ``fn(*args)`` at absolute ``time_ns`` with an explicit
-        tie-break ``key`` (from :meth:`reserve_key` or :meth:`key_as_of`).
+        """File ``fn(*args)`` at ``time_ns`` where the event scheduled at
+        instant ``since`` under ``key`` runs (see :meth:`ran`); events filed
+        as of one instant without a key run in filing order.
 
         The event goes to the heap even at the current timestamp, so it
-        must not sort before the running event (``key > self.key``).
+        must not sort before the running event.  With ``queued`` it is the
+        entry that event queued in the now bucket instead (``time_ns`` is
+        now and that entry's place is still ahead).
         """
-        time_ns = int(time_ns)
         if time_ns < self.now:
             raise ValueError(f"cannot schedule in the past: t={time_ns} < now={self.now}")
+        if key is None:
+            self._as_of = n = (self._as_of + 1) & (AS_OF_BIT - 1)
+            key = since << KEY_BITS | AS_OF_BIT | n
         handle = EventHandle(self)
         self._live += 1
+        if queued:
+            bucket = self._bucket
+            i = len(bucket)
+            while i and bucket[i - 1][3] > key:
+                i -= 1
+            bucket.insert(i, (fn, args, handle, key))
+            return handle
         handle._entry = entry = (time_ns, key, fn, args, handle)
         heappush(self._heap, entry)
         return handle
 
     def withdraw(self, handle: EventHandle) -> None:
-        """Take a pending :meth:`schedule_keyed` event out of the queue.
+        """Take a pending :meth:`file_as_of` heap event out of the queue.
 
         Unlike a cancelled event, which stays queued until its time comes,
         a withdrawn one leaves no trace: the clock never visits its time.
@@ -286,7 +297,7 @@ class Engine:
                             )
                         self._live -= 1
                         events_this_run += 1
-                        self.key = entry[1]
+                        self._current = entry[1]
                         entry[2](*entry[3])
                         if until is not None and until():
                             return "until"
@@ -306,8 +317,8 @@ class Engine:
                         )
                     self._live -= 1
                     events_this_run += 1
-                    self.key = bucket_key
-                    self.origin = entry[3]
+                    self._current = bucket_key
+                    self._origin = entry[3]
                     entry[0](*entry[1])
                     if until is not None and until():
                         return "until"

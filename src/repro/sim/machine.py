@@ -10,7 +10,7 @@ and tasklet engine.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.costs import SimCosts
 from repro.sim.engine import Engine
@@ -48,16 +48,14 @@ class Core:
         self.runq: deque[SimThread] = deque()
         #: thread currently occupying the core (running, delayed or spinning)
         self.current: SimThread | None = None
-        #: last non-idle... last thread that ran, for context-switch charging
+        #: the thread that ran last (idle threads included), for
+        #: context-switch charging
         self.last_thread: SimThread | None = None
         self.idle_thread: SimThread | None = None
         self._busy: dict[str, int] = {}
-        #: the idle thread's quiet nap, if it is taking one (see
-        #: :meth:`repro.sim.scheduler.Marcel.realize_nap`)
-        self._nap = None
-        #: a quiet nap or flag spin whose busy time is billed lazily; its
-        #: ``bill()`` brings the ledger up to the present before a read
-        self._owed = None
+        #: the skipped loop (a quiet nap or a flag spin) running here, if
+        #: any; reads settle its busy time first
+        self._lazy: SkippedLoop | None = None
 
     def account(self, category: str, ns: int) -> None:
         """Add ``ns`` of busy time under ``category``."""
@@ -66,20 +64,110 @@ class Core:
 
     def busy_ns(self, category: str | None = None) -> int:
         """Total accounted time, optionally restricted to one category."""
-        if self._owed is not None:
-            self._owed.bill()
+        if self._lazy is not None:
+            self._lazy.settle()
         if category is None:
             return sum(self._busy.values())
         return self._busy.get(category, 0)
 
     def busy_breakdown(self) -> dict[str, int]:
-        if self._owed is not None:
-            self._owed.bill()
+        if self._lazy is not None:
+            self._lazy.settle()
         return dict(self._busy)
 
     def __repr__(self) -> str:
         cur = self.current.name if self.current else None
         return f"<Core {self.machine.name}/{self.index} current={cur!r} runq={len(self.runq)}>"
+
+
+class SkippedLoop:
+    """A thread on ``core`` repeating a fixed-cost step every ``period`` ns
+    from ``start``, simulated with one engine event instead of the events
+    of every step.
+
+    Period ``i`` runs from step ``i`` (the start, for i = 0) to step
+    ``i + 1``, at ``start + (i + 1) * period``.  It spends ``lag`` ns off
+    the core (a quiet nap's sleep; none for a flag spin), then pays
+    ``cost`` ns of ``category``, billed by the skipped event that also
+    schedules step ``i + 1``: with a lag, the dispatch queued by the
+    wake-up that step ``i`` scheduled; without, step ``i`` itself.
+    ``key`` is reserved at ``start`` for the event the skipped code
+    scheduled then; an event it scheduled at a later instant sorts after
+    that instant's ordinary events.  ``billed`` periods are on the core's
+    ledger; ``last`` is the step of the one event, ``handle``, once filed.
+    """
+
+    __slots__ = ("thread", "core", "engine", "lag", "cost", "category",
+                 "period", "start", "key", "billed", "last", "handle")
+
+    def __init__(
+        self, thread: SimThread, core: Core, lag: int, cost: int, category: str
+    ) -> None:
+        self.thread = thread
+        self.core = core
+        self.engine = core.machine.engine
+        self.lag = lag
+        self.cost = cost
+        self.category = category
+        self.period = lag + cost
+        self.last: int | None = None
+        self.handle = None
+        self.begin()
+
+    def begin(self) -> None:
+        """(Re)start the loop at the present instant, on the core's slot."""
+        engine = self.engine
+        self.start = engine.now
+        self.key = engine.reserve_key()
+        self.billed = 0
+        self.core._lazy = self
+
+    def settle(self) -> None:
+        """Bill every period whose cost has been paid by the present
+        instant (at most ``last`` periods)."""
+        now = self.engine.now
+        last = self.last
+        if last is not None and now >= self.start + last * self.period:
+            periods = last  # the loop's one event has come: all is paid
+        else:
+            start, period, lag = self.start, self.period, self.lag
+            i = (now - start - lag) // period
+            if i >= 0 and now == start + i * period + lag:
+                # period i's cost is billed at this very instant: has it
+                # been?  (by the dispatch of the wake-up step i scheduled,
+                # or by step i, scheduled at step i - 1)
+                since = now - (lag or period)
+                key = self.key if since == start else None
+                if lag:
+                    paid = self.engine.ran(now, since, key, True)
+                else:
+                    paid = not i or self.engine.ran(now, since, key)
+                if not paid:
+                    i -= 1
+            periods = i + 1
+        billed = self.billed
+        if periods > billed:
+            self.core.account(self.category, (periods - billed) * self.cost)
+            self.billed = periods
+
+    def file_from(self, t: int, fn: Callable[..., Any], *args: Any) -> None:
+        """File the loop's one event, ``fn(*args)``, at its first step at or
+        after instant ``t`` that has not run yet."""
+        period, start, engine = self.period, self.start, self.engine
+        i = -(-(t - start) // period)
+        if i < 1:
+            i = 1
+        at = start + i * period
+        since = at - period + self.lag
+        key = self.key if since == start else None
+        if at == engine.now and engine.ran(at, since, key):
+            # a tie: that step ran just before ``t``
+            i += 1
+            at += period
+            since += period
+            key = None
+        self.last = i
+        self.handle = engine.file_as_of(at, since, key, fn, args)
 
 
 class Machine:
@@ -161,7 +249,7 @@ class Machine:
     def shutdown(self) -> None:
         """Stop idle loops so the event queue can drain."""
         for core in self.cores:
-            if core._nap is not None:
+            if core._lazy is not None:
                 self.scheduler.realize_nap(core)
         self.active = False
         for core in self.cores:

@@ -23,20 +23,20 @@ keeps the core occupied and is accounted as ``"spin"`` time.
 
 *Quiet naps.*  An idle loop on a core where no idle hook can run
 (:meth:`~repro.sim.hooks.HookRegistry.quiet`) can only nap, wake, pay its
-empty pass and decide again.  Such a nap files one engine event, at the
-pass's demand check, instead of the wake, dispatch and pass-end events;
-anything that could observe the idle thread in between (a kick, a thread
-enqueued on the core, shutdown, a busy-time read) first puts it in the
-state it would be in at that instant (:meth:`Marcel.realize_nap`).
+empty pass and decide again.  Such a nap (a one-step
+:class:`~repro.sim.machine.SkippedLoop`) files one event, at the pass's
+demand check, instead of the wake, dispatch and pass-end events; anything
+that could observe the idle thread in between (a kick, an enqueue, shutdown,
+a busy-time read) first puts it in the state of that instant
+(:meth:`Marcel.realize_nap`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.sim.engine import KEY_BITS, EventHandle
 from repro.sim.errors import SimDeadlock, SimProtocolError, SimThreadError
-from repro.sim.machine import Core, Machine
+from repro.sim.machine import Core, Machine, SkippedLoop
 from repro.sim.process import (
     Acquire,
     Block,
@@ -103,49 +103,6 @@ def _resolve_effect_code(eff: Any) -> int:
         code = _EFF_INVALID
     _EFFECT_CODES[type(eff)] = code
     return code
-
-
-class _Nap:
-    """A quiet core's idle-thread nap that files no wake-up event.
-
-    The nap ends at ``wake_at``.  The code it stands for would run the
-    wake-up (``_sleep_done``, key ``wake_key``) there, which queues the
-    dispatch in the now bucket, which bills the pass's ``idle`` time and
-    schedules the pass end at ``wake_at + idle_loop_ns``.  ``handle`` is
-    the nap's one event, at that pass end.
-    """
-
-    __slots__ = ("thread", "core", "wake_at", "wake_key", "handle", "billed")
-
-    def __init__(self, thread: SimThread, core: Core) -> None:
-        self.thread = thread
-        self.core = core
-        self.wake_at = 0
-        self.wake_key = 0
-        self.handle: EventHandle | None = None
-        self.billed = False
-
-    def phase(self) -> int:
-        """Where the skipped code would be now: 0 asleep, 1 woken and
-        queued (the dispatch pending in the now bucket), 2 in its pass."""
-        engine = self.core.machine.engine
-        now = engine.now
-        if now != self.wake_at:
-            return 0 if now < self.wake_at else 2
-        key = engine.key
-        if key < self.wake_key:
-            return 0
-        if key < now << KEY_BITS:
-            return 1  # a heap event after the wake-up: the bucket is next
-        # a bucket event runs before the dispatch if it was queued first
-        return 1 if engine.origin < self.wake_key else 2
-
-    def bill(self) -> None:
-        """Bill the pass's ``idle`` time once the pass has begun."""
-        if not self.billed and self.phase() == 2:
-            self.billed = True
-            self.core.account("idle", self.core.machine.costs.idle_loop_ns)
-            self.core._owed = None
 
 
 class Marcel:
@@ -227,7 +184,7 @@ class Marcel:
         else:
             # the run-queue lengths below must be the real ones
             for c in self.machine.cores:
-                if c._nap is not None:
+                if c._lazy is not None:
                     self.realize_nap(c)
             core = min(
                 self.machine.cores,
@@ -241,7 +198,7 @@ class Marcel:
 
     def _enqueue(self, thread: SimThread) -> None:
         core = self._place(thread)
-        if core._nap is not None:
+        if core._lazy is not None:
             self.realize_nap(core)
         core.runq.append(thread)
         if self.machine.tracer is not None:
@@ -391,7 +348,11 @@ class Marcel:
                         and self._eff_idle_pass.ns
                         and machine.hooks.quiet(core.index)
                     ):
-                        self._file_nap(_Nap(thread, core), eff.ns)
+                        idle_pass = self._eff_idle_pass
+                        nap = SkippedLoop(
+                            thread, core, eff.ns, idle_pass.ns, idle_pass.category
+                        )
+                        nap.file_from(nap.start, self._nap_check, nap)
                     else:
                         thread._sleep_handle = self.engine.schedule(
                             eff.ns, self._sleep_done, thread
@@ -530,12 +491,11 @@ class Marcel:
         """
         if thread.state is not ThreadState.SLEEPING:
             return
-        core = self.machine.cores[thread.placed_on]
-        nap = core._nap
+        nap = self.machine.cores[thread.placed_on]._lazy
         if nap is not None and nap.thread is thread:
-            if nap.phase():
-                return  # already awake: the kick is a no-op
-            self.realize_nap(core)
+            if self.engine.ran(nap.start + nap.lag, nap.start, nap.key):
+                return  # already woken: the kick is a no-op
+            self.realize_nap(nap.core)
         if thread._sleep_handle is not None:
             thread._sleep_handle.cancel()
             thread._sleep_handle = None
@@ -567,62 +527,49 @@ class Marcel:
 
     # ---------------------------------------------------------------- quiet naps
 
-    def _file_nap(self, nap: _Nap, ns: int) -> None:
-        """Start (or restart) a quiet nap of ``ns``."""
-        engine = self.engine
-        nap.wake_at = wake_at = engine.now + ns
-        nap.wake_key = engine.reserve_key()
-        nap.billed = False
-        # the pass end is scheduled by the dispatch at wake_at
-        nap.handle = engine.schedule_keyed(
-            wake_at + self._eff_idle_pass.ns, engine.key_as_of(wake_at),
-            self._nap_check, nap,
-        )
-        core = nap.core
-        core._nap = core._owed = nap
-
-    def _pass_begun(self, nap: _Nap) -> None:
-        """Trace the skipped wake-up and dispatch, at the nap's end, and
-        bill the pass."""
-        core, thread = nap.core, nap.thread
-        tracer = self.machine.tracer
-        if tracer is not None:
-            at = nap.wake_at
-            tracer.record(at, "runq", thread, core.index, "1")
-            tracer.record(at, "runq", thread, core.index, "0")
-            tracer.record(at, "dispatch", thread, core.index)
-        if not nap.billed:
-            nap.billed = True
-            core.account("idle", self._eff_idle_pass.ns)
-
-    def _wake_for_pass(self, nap: _Nap) -> None:
+    def _wake_for_pass(self, nap: SkippedLoop) -> None:
         """Do what the skipped wake-up and dispatch did, make the idle
         thread current and run the loop head up to the pass's ``Delay``."""
         core, thread = nap.core, nap.thread
-        self._pass_begun(nap)
-        core._nap = core._owed = None
+        if self.machine.tracer is not None:
+            self._trace_wake(nap)
+        nap.settle()
+        core._lazy = None
         core.current = thread
         thread.state = ThreadState.RUNNING
         # nothing has touched the core since the nap began (anything that
         # would have realized the nap first), so the loop head decides now
-        # as it would have at wake_at
+        # as it would have when the nap ended
         eff = thread.gen.send(True)
         if eff is not self._eff_idle_pass:
             raise SimProtocolError(f"quiet nap of {thread.name!r} resumed into {eff!r}")
 
-    def _nap_check(self, nap: _Nap) -> None:
+    def _trace_wake(self, nap: SkippedLoop) -> None:
+        """Write the skipped wake-up's and dispatch's records, at the nap's
+        end."""
+        at, thread, index = nap.start + nap.lag, nap.thread, nap.core.index
+        tracer = self.machine.tracer
+        tracer.record(at, "runq", thread, index, "1")
+        tracer.record(at, "runq", thread, index, "0")
+        tracer.record(at, "dispatch", thread, index)
+
+    def _nap_check(self, nap: SkippedLoop) -> None:
         """The one event of a quiet nap: the pass's demand check."""
         core = nap.core
-        if core._nap is not nap:
+        if core._lazy is not nap:
             # realized into its pass: the pass end is all that is left
             self._advance(nap.thread)
             return
-        hooks = self.machine.hooks
+        machine = self.machine
+        hooks = machine.hooks
         if hooks.quiet(core.index) and hooks.idle_demand():
             # the loop would run no hook, find demand and nap again from
             # the same ``yield``: leave the generator where it is
-            self._pass_begun(nap)
-            self._file_nap(nap, self.costs.idle_tick_ns)
+            if machine.tracer is not None:
+                self._trace_wake(nap)
+            nap.settle()
+            nap.begin()
+            nap.file_from(nap.start, self._nap_check, nap)
             return
         self._wake_for_pass(nap)
         self._advance(nap.thread)
@@ -631,23 +578,29 @@ class Marcel:
         """Turn ``core``'s quiet nap into the real state of this instant:
         asleep with a pending wake-up, queued with a pending dispatch, or
         running its pass (whose end the nap's own event still is)."""
-        nap = core._nap
-        phase = nap.phase()
-        if phase == 2:
+        nap = core._lazy
+        if not nap.lag:
+            return  # a flag spin keeps its core: nothing sees it meanwhile
+        engine = self.engine
+        wake_at, since, key = nap.start + nap.lag, nap.start, nap.key
+        woken = engine.ran(wake_at, since, key)
+        if woken and engine.ran(wake_at, since, key, True):
             self._wake_for_pass(nap)
             return
-        engine = self.engine
         engine.withdraw(nap.handle)
-        core._nap = core._owed = None
+        core._lazy = None
         thread = nap.thread
-        if phase == 0:
-            thread._sleep_handle = engine.schedule_keyed(
-                nap.wake_at, nap.wake_key, self._sleep_done, thread
+        if not woken:
+            thread._sleep_handle = engine.file_as_of(
+                wake_at, since, key, self._sleep_done, (thread,)
             )
-        else:
-            # its dispatch joins the end of the now bucket, possibly behind
-            # other cores' events the skipped dispatch would have preceded
-            self._sleep_done(thread)
+            return
+        # woken and queued: its dispatch takes its place in the now bucket
+        thread.state = ThreadState.READY
+        thread._resume_value = True
+        core.runq.append(thread)
+        self.machine._trace("runq", thread, core.index, str(len(core.runq)))
+        engine.file_as_of(wake_at, since, key, self._dispatch, (core,), True)
 
     # ---------------------------------------------------------------- join
 

@@ -26,8 +26,7 @@ from collections import deque
 from typing import Any
 
 from repro.sim.costs import SimCosts
-from repro.sim.engine import KEY_BITS, AS_OF_BIT
-from repro.sim.machine import Core, Machine
+from repro.sim.machine import Core, Machine, SkippedLoop
 from repro.sim.process import Acquire, Block, Delay, Release, SimGen, SimThread
 
 
@@ -285,59 +284,6 @@ class Condition:
         self.notify(len(self.waiters))
 
 
-class _Spinner:
-    """A thread re-reading a :class:`Completion` every ``check_ns`` from
-    ``start`` on (a :class:`~repro.sim.process.SpinRead`).
-
-    Re-read *i* happens at ``start + i * check_ns``; the code this stands
-    for schedules it from re-read *i - 1* (re-read 1 from the spin start,
-    with the reserved ``key``).  ``billed`` re-read periods are on the
-    core's ledger; ``last`` is the re-read that sees the flag, once known.
-    """
-
-    __slots__ = ("thread", "core", "start", "key", "check_ns", "billed", "last")
-
-    def __init__(self, thread: SimThread, core: Core, check_ns: int) -> None:
-        engine = core.machine.engine
-        self.thread = thread
-        self.core = core
-        self.start = engine.now
-        self.key = engine.reserve_key()
-        self.check_ns = check_ns
-        self.billed = 0
-        self.last: int | None = None
-
-    def reread_done(self, i: int) -> bool:
-        """Has re-read ``i`` (i >= 1) already run at the present instant?"""
-        engine = self.core.machine.engine
-        at = self.start + i * self.check_ns
-        if at != engine.now:
-            return at < engine.now
-        if i == 1:
-            return engine.key > self.key
-        return engine.key > ((at - self.check_ns) << KEY_BITS | AS_OF_BIT)
-
-    def bill(self, periods: int | None = None) -> None:
-        """Bill every re-read period begun by now (or ``periods``)."""
-        if periods is None:
-            engine = self.core.machine.engine
-            done = (engine.now - self.start) // self.check_ns
-            if done and not self.reread_done(done):
-                done -= 1
-            periods = done + 1
-            if self.last is not None:
-                periods = min(periods, self.last)
-        if periods > self.billed:
-            self.core.account("poll", (periods - self.billed) * self.check_ns)
-            self.billed = periods
-
-    def resume(self) -> None:
-        """The re-read that sees the flag: the spin's one event."""
-        self.bill(self.last)
-        self.core._owed = None
-        self.core.machine.scheduler._advance(self.thread)
-
-
 class Completion:
     """One-shot completion flag with cache-visibility semantics.
 
@@ -375,7 +321,7 @@ class Completion:
         self.fire_time: int | None = None
         self.fire_core: int | None = None
         self.waiters: deque[SimThread] = deque()
-        self.spinners: list[_Spinner] = []
+        self.spinners: list[SkippedLoop] = []
         #: reader cores whose cache-line transfer has been attributed
         self._transfer_seen: set[int] = set()
 
@@ -410,29 +356,26 @@ class Completion:
         """Start ``thread`` re-reading this flag every ``check_ns`` on
         ``core``, the first period beginning now (see
         :class:`~repro.sim.process.SpinRead`)."""
-        spinner = _Spinner(thread, core, check_ns)
-        spinner.bill(1)
-        core._owed = spinner
+        spin = SkippedLoop(thread, core, 0, check_ns, "poll")
+        spin.settle()
         if self.fired:
-            self._resume_at_sight(spinner)
+            self._resume_at_sight(spin)
         else:
-            self.spinners.append(spinner)
+            self.spinners.append(spin)
 
-    def _resume_at_sight(self, spinner: _Spinner) -> None:
-        """File the spinner's resumption at its first re-read at or after
-        the moment the flag becomes visible to its core."""
+    def _resume_at_sight(self, spin: SkippedLoop) -> None:
+        """File the spin's resumption at its first re-read at or after the
+        moment the flag becomes visible to its core."""
         visible_at = self.fire_time
         if self.fire_core is not None:
-            visible_at += self.machine.transfer_ns(self.fire_core, spinner.core.index)
-        check = spinner.check_ns
-        i = max(1, -(-(visible_at - spinner.start) // check))
-        if spinner.reread_done(i):
-            i += 1  # a tie: that re-read ran just before the flag was set
-        spinner.last = i
-        at = spinner.start + i * check
-        engine = self.machine.engine
-        key = spinner.key if i == 1 else engine.key_as_of(at - check)
-        engine.schedule_keyed(at, key, spinner.resume)
+            visible_at += self.machine.transfer_ns(self.fire_core, spin.core.index)
+        spin.file_from(visible_at, self._resume, spin)
+
+    def _resume(self, spin: SkippedLoop) -> None:
+        """The re-read that sees the flag: the spin's one event."""
+        spin.settle()
+        spin.core._lazy = None
+        self.machine.scheduler._advance(spin.thread)
 
     def visible(self, core_index: int, now: int | None = None) -> bool:
         """Is the completion visible to a reader on ``core_index`` yet?"""

@@ -8,6 +8,7 @@ from repro.core import BusyWait, FixedSpinWait, PassiveWait, PiomanBusyWait, Wai
 from repro.core.session import build_testbed
 from repro.core.waiting import FlagSpinWait
 from repro.pioman import attach_pioman
+from repro.sim.process import Delay, WhereAmI
 
 
 def bed_with_pioman(policy="fine", poll_cores=None, jitter_ns=0):
@@ -185,11 +186,12 @@ class TestFlagSpinWait:
 
     CHECK = FlagSpinWait.SPIN_CHECK_NS
 
-    def _spin(self, fire_at, *, fire_core, deferred=False):
+    def _spin(self, fire_at, *, fire_core, deferred=False, plan=None, strategy=None):
         """Wait on an irecv on core 0 of node A (polling on core 1) that
         is completed at ``fire_at`` from ``fire_core`` (None: before the
         wait starts); ``deferred`` fires from a delay-0 event, after every
-        queued event of that instant.
+        queued event of that instant; ``plan(engine, fire)``, if given,
+        schedules the fire instead.  ``strategy`` defaults to :class:`FlagSpinWait`.
 
         Returns (spin start, wait end, poll ns and transfer ns charged
         during the wait)."""
@@ -206,7 +208,7 @@ class TestFlagSpinWait:
             out["transfer0"] = machine.transfer_charged_ns
             if fire_at is None:
                 fire()
-            yield from lib.wait(req, FlagSpinWait())
+            yield from lib.wait(req, strategy or FlagSpinWait())
             out["end"] = bed.engine.now
             out["poll"] = core0.busy_ns("poll") - out["poll0"]
             out["transfer"] = machine.transfer_charged_ns - out["transfer0"]
@@ -214,7 +216,9 @@ class TestFlagSpinWait:
         def fire():
             out["req"].complete(core=fire_core)
 
-        if deferred:
+        if plan is not None:
+            plan(bed.engine, fire)
+        elif deferred:
             bed.engine.call_at(fire_at, bed.engine.call_after, 0, fire)
         elif fire_at is not None:
             bed.engine.call_at(fire_at, fire)
@@ -250,6 +254,38 @@ class TestFlagSpinWait:
         _, end, poll, _ = self._spin(fire_at, fire_core=None, deferred=True)
         assert end == fire_at + self.CHECK
         assert poll == (rereads + 1) * self.CHECK
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a re-read filed as of the re-read before it sorts after "
+        "every ordinary event scheduled at that instant",
+    )
+    def test_fire_scheduled_at_the_reread_before(self):
+        """A fire scheduled at a re-read instant, after that re-read, for
+        the next re-read instant comes after that next re-read in a loop
+        of 30 ns re-reads."""
+
+        class DelayLoop(FlagSpinWait):
+            """The reference: one event per re-read."""
+
+            def wait(self, lib, req):
+                core = yield WhereAmI()
+                yield from lib.pioman.register(req)
+                while not req.completion.visible(core):
+                    yield Delay(self.SPIN_CHECK_NS, "poll")
+
+        start, _, _, _ = self._spin(10_000, fire_core=None)
+        reread = start + 30 * self.CHECK
+
+        def plan(engine, fire):
+            engine.call_at(
+                reread - self.CHECK, engine.call_after, 0,
+                engine.call_after, self.CHECK, fire,
+            )
+
+        ref = self._spin(reread, fire_core=None, plan=plan, strategy=DelayLoop())
+        assert ref[1:3] == (reread + self.CHECK, 31 * self.CHECK)
+        assert self._spin(reread, fire_core=None, plan=plan) == ref
 
     def test_fired_before_the_wait_is_free(self):
         start, end, poll, transfer = self._spin(None, fire_core=None)

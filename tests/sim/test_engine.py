@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import KEY_BITS, Engine
+from repro.sim.engine import Engine
 from repro.sim.errors import SimDeadlock, SimTimeLimit
 
 
@@ -33,12 +33,12 @@ class TestScheduling:
         with pytest.raises(ValueError):
             Engine().schedule(-1, lambda: None)
 
-    def test_schedule_at_past_rejected(self):
+    def test_call_at_past_rejected(self):
         eng = Engine()
         eng.schedule(10, lambda: None)
         eng.run()
         with pytest.raises(ValueError):
-            eng.schedule_at(5, lambda: None)
+            eng.call_at(5, lambda: None)
 
     def test_events_may_schedule_events(self):
         eng = Engine()
@@ -239,7 +239,7 @@ class TestSameTimeOrdering:
 
 
 class TestKeys:
-    """Events filed late with a key sort as if scheduled when the key says."""
+    """Events filed as of a skipped instant sort as if scheduled then."""
 
     def test_reserved_key_sorts_where_the_event_was_due(self):
         eng = Engine()
@@ -249,7 +249,7 @@ class TestKeys:
         eng.schedule(10, seen.append, "after")
 
         def late():
-            eng.schedule_keyed(10, key, seen.append, "reserved")
+            eng.file_as_of(10, 0, key, seen.append, ("reserved",))
 
         eng.schedule(5, late)
         eng.run()
@@ -265,8 +265,8 @@ class TestKeys:
 
         def at_12():
             eng.schedule(8, seen.append, "ordinary@12")
-            eng.schedule_keyed(20, eng.key_as_of(5), seen.append, "as-of-5 #1")
-            eng.schedule_keyed(20, eng.key_as_of(5), seen.append, "as-of-5 #2")
+            eng.file_as_of(20, 5, None, seen.append, ("as-of-5 #1",))
+            eng.file_as_of(20, 5, None, seen.append, ("as-of-5 #2",))
 
         eng.schedule(5, at_5)
         eng.schedule(12, at_12)
@@ -275,23 +275,73 @@ class TestKeys:
 
     def test_running_key_orders_heap_before_bucket(self):
         eng = Engine()
-        keys = {}
+        seen = {}
+        # a skipped event at t=7 scheduled at t=0, before `heap_event`
+        key = eng.reserve_key()
+
+        def observe(tag):
+            seen[tag] = (eng.ran(7, 0, key), eng.ran(7, 0, key, queued=True))
 
         def heap_event():
-            keys["heap"] = eng.key
-            eng.schedule(0, bucket_event)
-
-        def bucket_event():
-            keys["bucket"] = eng.key
+            observe("heap")
+            eng.schedule(0, observe, "bucket")
 
         eng.schedule(7, heap_event)
+        eng.schedule(1, observe, "before")
         eng.run()
-        assert keys["heap"] < 7 << KEY_BITS <= keys["bucket"]
+        # heap events of an instant run in key order, then the now bucket
+        # in the order of the keys that queued its entries
+        assert seen == {
+            "before": (False, False),
+            "heap": (True, False),
+            "bucket": (True, True),
+        }
+
+    def test_ran_as_of_an_instant(self):
+        eng = Engine()
+        seen = {}
+
+        def probe(tag):
+            return lambda: seen.setdefault(tag, eng.ran(20, 5, None))
+
+        def at_5():
+            eng.schedule(15, probe("ordinary@5"))
+            eng.file_as_of(20, 5, None, probe("as-of-5"))
+            eng.schedule(15, probe("later ordinary@5"))
+
+        eng.schedule(5, at_5)
+        eng.schedule(20, probe("ordinary@0"))
+        eng.run()
+        # the place as of t=5 comes after every ordinary event scheduled
+        # then, however late they were scheduled, and before the events
+        # filed as of t=5
+        assert seen == {
+            "ordinary@0": False,
+            "ordinary@5": False,
+            "later ordinary@5": False,
+            "as-of-5": True,
+        }
+
+    def test_queued_entry_takes_its_place_in_the_bucket(self):
+        eng = Engine()
+        seen = []
+        eng.schedule(10, eng.call_after, 0, seen.append, "queued before")
+        # skipped: an event at t=10, scheduled now, that queues an entry
+        key = eng.reserve_key()
+
+        def filer():
+            eng.call_after(0, seen.append, "queued after")
+            assert eng.ran(10, 0, key) and not eng.ran(10, 0, key, queued=True)
+            eng.file_as_of(10, 0, key, seen.append, ("filed",), queued=True)
+
+        eng.schedule(10, filer)
+        eng.run()
+        assert seen == ["queued before", "filed", "queued after"]
 
     def test_withdrawn_event_leaves_no_trace(self):
         eng = Engine()
         seen = []
-        late = eng.schedule_keyed(50, eng.key_as_of(0), seen.append, "late")
+        late = eng.file_as_of(50, 0, None, seen.append, ("late",))
         cancelled = eng.schedule(40, seen.append, "cancelled")
         eng.schedule(10, seen.append, "kept")
         eng.withdraw(late)
@@ -302,12 +352,12 @@ class TestKeys:
         # one does not
         assert seen == ["kept"] and eng.now == 40
 
-    def test_schedule_keyed_in_the_past_rejected(self):
+    def test_file_as_of_in_the_past_rejected(self):
         eng = Engine()
         eng.schedule(10, lambda: None)
         eng.run()
         with pytest.raises(ValueError):
-            eng.schedule_keyed(9, eng.key_as_of(5), lambda: None)
+            eng.file_as_of(9, 5, None, lambda: None)
 
 
 class TestClockMonotonicity:

@@ -124,10 +124,10 @@ class TestHookRegistry:
 
 
 class TestEngineEdges:
-    def test_schedule_at_now_allowed(self):
+    def test_call_at_now_allowed(self):
         eng = Engine()
         fired = []
-        eng.schedule_at(0, fired.append, 1)
+        eng.call_at(0, fired.append, 1)
         eng.run()
         assert fired == [1]
 

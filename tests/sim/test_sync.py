@@ -399,7 +399,7 @@ class TestCompletion:
         def do_fire():
             comp.fire(core=2)
 
-        eng.schedule_at(fire_at, do_fire)
+        eng.call_at(fire_at, do_fire)
         eng.run(until=lambda: t.done)
         assert t.result >= fire_at + 1_200
 
@@ -414,7 +414,7 @@ class TestCompletion:
         t = m.scheduler.spawn(waiter(), name="w", core=0, bound=True)
         eng.run(until=lambda: t.state is ThreadState.BLOCKED)
         fire_at = eng.now + 100
-        eng.schedule_at(fire_at, lambda: comp.fire(core=1))
+        eng.call_at(fire_at, lambda: comp.fire(core=1))
         eng.run(until=lambda: t.done)
         assert fire_at + 400 <= t.result < fire_at + 1_200
 
